@@ -86,12 +86,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     family = read_family(args.infile)
-    report = verify_family(
-        family,
-        method=args.method,
-        small_prime_prepass=args.prepass,
-        threads=args.threads,
-    )
+    report = verify_family(family, threads=args.threads)
     if report.ok:
         _emit({"ok": True, "pairs": report.pair_count, "digest": report.digest})
         return 0
@@ -216,7 +211,7 @@ def cmd_reduce(args) -> int:
 def cmd_bench(args) -> int:
     family = truncated_construction(args.k)
     started = time.perf_counter()
-    report = verify_family(family, method="numpy", threads=args.threads)
+    report = verify_family(family, threads=args.threads)
     elapsed = time.perf_counter() - started
     _emit(
         {
@@ -234,11 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apfam",
         description="Families of pairwise non-intersecting arithmetic progressions",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build the anchored-prime family at x")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = command("construct", "build the anchored-prime family at x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--c", type=float, default=ConstructionParams.c)
     p.add_argument("--squarefree-only", action="store_true")
@@ -246,20 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check a family file pairwise")
+    p = command("verify", "check a family file pairwise")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", choices=("auto", "python", "numpy"), default="auto")
-    p.add_argument("--prepass", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="exact maximum family size for small x")
+    p = command("solve", "exact maximum family size for small x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--budget", type=int, default=SearchConfig.node_budget)
     p.add_argument("--emit-witness")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("refine", help="run the refinement chain on a family")
+    p = command("refine", "run the refinement chain on a family")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--omega-cap", type=float, default=None)
     p.add_argument("--prime-floor", type=float, default=None)
@@ -267,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("check-cert", help="replay a refinement certificate")
+    p = command("check-cert", "replay a refinement certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_check_cert)
 
-    p = sub.add_parser("counts", help="exact counts against predicted scales")
+    p = command("counts", "exact counts against predicted scales")
     p.add_argument(
         "--kind",
         choices=("psi", "psistar", "omega-tail", "f-lower"),
@@ -283,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_counts)
 
-    p = sub.add_parser("reduce", help="extract the squarefree reduction of a family")
+    p = command("reduce", "extract the squarefree reduction of a family")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("bench", help="time pairwise verification at size k")
+    p = command("bench", "time pairwise verification at size k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_bench)

@@ -44,17 +44,25 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
-    """Ascending q = p*m <= x with every prime-power factor of m below p."""
+def _walk(params: ConstructionParams, p: int, visit) -> None:
+    """Call visit(q, powers) for every member q = p*m <= x, unsorted.
+
+    powers is the recursion's stack of m's prime powers, all below p, in the
+    order they were multiplied in; visit must copy what it keeps.
+    """
     bound = params.x // p
     if bound < 1:
-        return []
+        return
     small = [r for r in sieve_primes(max(2, p)) if r < p]
-    out = []
+    powers = []
+    count = 0
 
     def rec(i, m):
-        out.append(m)
-        if len(out) > MODULI_LIMIT:
+        nonlocal count
+        if m > 1 or params.include_p_itself:
+            visit(p * m, powers)
+        count += 1
+        if count > MODULI_LIMIT:
             raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
         for j in range(i, len(small)):
             r = small[j]
@@ -62,41 +70,47 @@ def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
                 break
             ra = r
             while ra < p and m * ra <= bound:
+                powers.append(ra)
                 rec(j + 1, m * ra)
+                powers.pop()
                 if params.squarefree_only:
                     break
                 ra *= r
 
     rec(0, 1)
-    ms = sorted(out)
-    if not params.include_p_itself:
-        ms = [m for m in ms if m > 1]
-    return [p * m for m in ms]
+
+
+def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
+    """Ascending q = p*m <= x with every prime-power factor of m below p."""
+    moduli = []
+    _walk(params, p, lambda q, powers: moduli.append(q))
+    return sorted(moduli)
+
+
+def _chain_residue(chain: list[int], p: int) -> int:
+    """Residue mod p*prod(chain) for the prime powers chain, ascending and
+    all below p: pinned at each chain[j] to the next value down, at p to
+    chain[-1], and at chain[0] to 0."""
+    if not chain:
+        return 0
+    a, m = chain[-1] % p, p
+    for j in range(len(chain) - 1, 0, -1):
+        a, m = crt_pair(a, m, chain[j - 1], chain[j])
+    return crt_pair(a, m, 0, chain[0])[0]
 
 
 def assign_residue(q: int, p: int) -> Progression:
-    """Residue for modulus q via the descending prime-power chain.
+    """Residue for modulus q via the prime-power chain read from the top down.
 
     Requires q = p * m with p prime and every prime-power factor of m
     strictly below p, so p**1 is the largest part of q's factorization.
     """
-    fact = factorize(q)
-    pows = fact.prime_powers()
+    pows = factorize(q).prime_powers()
     if pows[-1] != p:
         raise DomainError(
             f"{q} does not split as p times prime powers below p for p={p}"
         )
-    chain = pows[:-1]
-    if not chain:
-        return Progression(0, p)
-    # pin chain[j] levels to the next value down, the lowest level to 0
-    a, m = chain[-1] % p, p
-    for j in range(len(chain) - 1, 0, -1):
-        a, m = crt_pair(a, m, chain[j - 1], chain[j])
-    a, m = crt_pair(a, m, 0, chain[0])
-    if m != q:
-        raise DomainError(f"prime powers of {q} are not coprime")
-    return Progression(a, q)
+    return Progression(_chain_residue(pows[:-1], p), q)
 
 
 @dataclass(frozen=True)
@@ -121,8 +135,12 @@ class ConstructionResult:
 def build_construction(params: ConstructionParams) -> ConstructionResult:
     """The full family at x: pairwise disjoint with distinct moduli <= x."""
     p = choose_prime(params)
-    moduli = enumerate_moduli(params, p)
-    items = [assign_residue(q, p) for q in moduli]
+    items = []
+
+    def add(q, powers):
+        items.append(Progression(_chain_residue(sorted(powers), p), q))
+
+    _walk(params, p, add)
     family = Family.build(items, params.x)
     predicted = params.x / (p * l_scale(1 / (2 * params.c), params.x))
     return ConstructionResult(family=family, p=p, predicted_size=predicted)

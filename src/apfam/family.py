@@ -10,7 +10,6 @@ object, then one object per progression in modulus order.
 import hashlib
 import json
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,8 +21,8 @@ import numpy as np
 from .errors import FamilyFormatError, NotDisjointError, StructuralError
 from .numtheory import crt_pair
 
-THREADS_ENV = "APFAM_THREADS"
 NUMPY_CUTOVER = 200
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -127,29 +126,11 @@ class VerificationReport:
     digest: str | None
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
-
-
-def _scan_python(items: Sequence[Progression], prepass: bool) -> tuple[int, int] | None:
+def _scan_python(items: Sequence[Progression]) -> tuple[int, int] | None:
     n = len(items)
-    pre = None
-    if prepass:
-        # residue mod m when m divides the modulus, else -1; differing entries
-        # for a shared small prime already prove the pair disjoint
-        pre = [
-            [pr.residue % m if pr.modulus % m == 0 else -1 for pr in items]
-            for m in (2, 3, 5)
-        ]
     for i in range(n - 1):
         ai, qi = items[i].residue, items[i].modulus
         for j in range(i + 1, n):
-            if pre is not None and any(
-                col[i] >= 0 and col[j] >= 0 and col[i] != col[j] for col in pre
-            ):
-                continue
             if (ai - items[j].residue) % math.gcd(qi, items[j].modulus) == 0:
                 return i, j
     return None
@@ -181,26 +162,20 @@ def _scan_numpy(items: Sequence[Progression], threads: int) -> tuple[int, int] |
     return min(found) if found else None
 
 
-def verify_family(
-    family: Family,
-    method: str = "auto",
-    small_prime_prepass: bool = False,
-    threads: int | None = None,
-) -> VerificationReport:
+def verify_family(family: Family, threads: int | None = None) -> VerificationReport:
     """Check every pair; on failure report the lexicographically first one.
 
-    The witness carries the smallest common element of the offending pair.
+    A family of at least NUMPY_CUTOVER members whose moduli fit in int64 is
+    scanned row by row in numpy, over `threads` threads (default 1); any
+    other family takes the exact Python scan.  The witness does not depend
+    on the route and carries the smallest common element of the pair.
     """
-    if method not in ("auto", "python", "numpy"):
-        raise StructuralError(f"unknown method {method!r}")
     items = family.items
     n = len(items)
-    if method == "auto":
-        method = "numpy" if n >= NUMPY_CUTOVER else "python"
-    if method == "numpy":
-        hit = _scan_numpy(items, _thread_count(threads))
+    if n >= NUMPY_CUTOVER and items[-1].modulus <= INT64_MAX:
+        hit = _scan_numpy(items, threads or 1)
     else:
-        hit = _scan_python(items, small_prime_prepass)
+        hit = _scan_python(items)
     pair_count = n * (n - 1) // 2
     if hit is None:
         return VerificationReport(True, None, pair_count, family_digest(family))
@@ -211,9 +186,9 @@ def verify_family(
     return VerificationReport(False, Witness(i, j, merged[0]), pair_count, None)
 
 
-def certify(family: Family, **kwargs) -> Family:
+def certify(family: Family, threads: int | None = None) -> Family:
     """Return a copy marked verified, or raise NotDisjointError with the pair."""
-    report = verify_family(family, **kwargs)
+    report = verify_family(family, threads=threads)
     if not report.ok:
         w = report.witness
         raise NotDisjointError(family.items[w.i], family.items[w.j], w.common)
@@ -274,4 +249,8 @@ def loads_family(text: str) -> Family:
 
 def read_family(path) -> Family:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_family(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"not UTF-8 text ({exc.reason})") from exc
+    return loads_family(text)

@@ -1,7 +1,8 @@
 """Deterministic integer utilities: primes, factorization, CRT, smooth counts.
 
-Everything here is pure and exact.  Results stay within 64-bit range;
-operations that could silently wrap raise CapacityError instead.
+Everything here is pure and exact, on Python integers of any size.  The
+sieves, trial division and enumerations raise CapacityError past their
+size limits instead of running without bound.
 """
 
 import math
@@ -10,7 +11,6 @@ from functools import lru_cache
 
 from .errors import CapacityError, DomainError
 
-WORD_MAX = 2**63 - 1
 SIEVE_LIMIT = 50_000_000
 FACTOR_LIMIT = 10**12
 ENUM_LIMIT = 5_000_000
@@ -127,8 +127,6 @@ def crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
     if (a2 - a1) % g:
         return None
     lcm = m1 // g * m2
-    if lcm > WORD_MAX:
-        raise CapacityError(f"lcm({m1}, {m2}) exceeds 64-bit range")
     m2g = m2 // g
     t = ((a2 - a1) // g * pow(m1 // g, -1, m2g)) % m2g
     return (a1 + m1 * t) % lcm, lcm

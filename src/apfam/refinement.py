@@ -371,7 +371,7 @@ def certificate_from_dict(data: dict) -> RefinementCertificate:
             witness_prime=data["witness_prime"],
             divisible_count=data["divisible_count"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FamilyFormatError(f"malformed certificate: {exc}") from exc
 
 
@@ -387,4 +387,6 @@ def read_certificate(path) -> RefinementCertificate:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FamilyFormatError(f"invalid certificate JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"certificate is not UTF-8 text ({exc.reason})") from exc
     return certificate_from_dict(data)

@@ -1,6 +1,6 @@
 """Exact maximum family size by branch and bound, plus a slow oracle.
 
-The search walks moduli in a fixed order and either assigns a compatible
+The search walks the moduli from x down to 2 and either assigns a compatible
 residue or skips the modulus.  Two admissible prunes: a disjoint family's
 densities sum to at most 1 (exact rationals, never floats), and a budget
 bound on how many of the remaining moduli could still fit under the unused
@@ -24,10 +24,6 @@ X_ORACLE_MAX = 20
 class SearchConfig:
     x: int
     node_budget: int = 100_000_000
-    fix_translation: bool = True
-    prune_density: bool = True
-    prune_completion: bool = True
-    descending: bool = True
 
     def __post_init__(self):
         if not 2 <= self.x <= X_MAX_EXACT:
@@ -47,17 +43,16 @@ class SearchResult:
 def solve_exact(config: SearchConfig) -> SearchResult:
     """Maximum disjoint family with distinct moduli in [2, config.x]."""
     x = config.x
-    order = list(range(x, 1, -1)) if config.descending else list(range(2, x + 1))
 
     # harmonic prefix sums: H[m] = sum of 1/j for 2 <= j <= m, exact
     H = [Fraction(0)] * (x + 1)
     for m in range(2, x + 1):
         H[m] = H[m - 1] + Fraction(1, m)
 
-    def max_addable(lo: int, hi: int, budget: Fraction) -> int:
+    def max_addable(hi: int, budget: Fraction) -> int:
         # largest r with the r cheapest remaining reciprocals summing <= budget;
-        # remaining moduli are always the contiguous range [lo, hi]
-        a, b = 0, hi - lo + 1
+        # the remaining moduli are always 2..hi
+        a, b = 0, hi - 1
         while a < b:
             mid = (a + b + 1) // 2
             if H[hi] - H[hi - mid] <= budget:
@@ -72,7 +67,7 @@ def solve_exact(config: SearchConfig) -> SearchResult:
     best: list[tuple[int, int]] = []
     chosen: list[tuple[int, int]] = []
 
-    def rec(idx: int, dens: Fraction):
+    def rec(q: int, dens: Fraction):
         nonlocal nodes, cutoff, best_k, best
         if cutoff:
             return
@@ -83,27 +78,23 @@ def solve_exact(config: SearchConfig) -> SearchResult:
         if len(chosen) > best_k:
             best_k = len(chosen)
             best = list(chosen)
-        if idx == len(order):
+        if q < 2:
             return
-        q = order[idx]
-        lo, hi = (2, q) if config.descending else (q, x)
-        if config.prune_completion:
-            if len(chosen) + max_addable(lo, hi, 1 - dens) <= best_k:
-                return
+        if len(chosen) + max_addable(q, 1 - dens) <= best_k:
+            return
         recip = Fraction(1, q)
-        if not (config.prune_density and dens + recip > 1):
+        if dens + recip <= 1:
             pairs = [(math.gcd(q, qi), ai) for qi, ai in chosen]
-            residues = range(1) if config.fix_translation and not chosen else range(q)
-            for a in residues:
+            for a in range(q) if chosen else range(1):
                 if all((a - ai) % g for g, ai in pairs):
                     chosen.append((q, a))
-                    rec(idx + 1, dens + recip)
+                    rec(q - 1, dens + recip)
                     chosen.pop()
                     if cutoff:
                         return
-        rec(idx + 1, dens)
+        rec(q - 1, dens)
 
-    rec(0, Fraction(0))
+    rec(x, Fraction(0))
     witness = Family.build([Progression(a, q) for q, a in best], x)
     return SearchResult(
         k_max=best_k, witness=witness, nodes=nodes, proven_optimal=not cutoff

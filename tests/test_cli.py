@@ -1,8 +1,10 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
-import pytest
-
-from apfam.cli import main
+from apfam.cli import build_parser, main
 from apfam.family import (
     Family,
     Progression,
@@ -11,6 +13,8 @@ from apfam.family import (
     verify_family,
     write_family,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 X100_FILE = (
     '{"x": 100, "count": 6}\n'
@@ -103,11 +107,32 @@ class TestVerify:
         assert code == 2
 
     def test_method_flags(self, tmp_path, capsys):
+        # the scan is chosen from the family; only the thread count is set
         path = tmp_path / "fam.jsonl"
         path.write_text(X100_FILE, encoding="utf-8")
-        for flags in (["--method", "numpy"], ["--method", "python", "--prepass"], ["--threads", "2"]):
-            code, out = run(capsys, "verify", "--in", str(path), *flags)
-            assert code == 0 and last_json(out)["ok"]
+        code, out = run(capsys, "verify", "--in", str(path), "--threads", "2")
+        assert code == 0 and last_json(out)["ok"]
+        for flags in (["--method", "numpy"], ["--prepass"]):
+            code, _ = run(capsys, "verify", "--in", str(path), *flags)
+            assert code == 2
+
+    def test_intersection_past_int64_exit_1(self, tmp_path, capsys):
+        # lcm(2**40, 2**40 + 15) is past 2**63; the witness stays exact
+        path = tmp_path / "wide.jsonl"
+        q = 2**40
+        write_family(Family.build([Progression(0, q), Progression(0, q + 15)], q + 15), path)
+        code, out = run(capsys, "verify", "--in", str(path))
+        assert code == 1
+        witness = last_json(out)["witness"]
+        assert (witness["i"], witness["j"], witness["common"]) == (0, 1, 0)
+
+    def test_non_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b'{"x": 3, "count": 1}\n{"q": 2, "a": 0}\xff\n')
+        code = main(["verify", "--in", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSolve:
@@ -174,6 +199,23 @@ class TestRefineAndCheck:
             capsys, "check-cert", "--cert", str(cert_file), "--in", str(fam_file)
         )
         assert code == 1 and last_json(out)["reason"] == "Property 4"
+
+    def test_malformed_base_entry_exit_2(self, tmp_path, capsys):
+        fam_file = self.build_inputs(tmp_path, capsys)
+        cert_file = tmp_path / "cert.json"
+        run(
+            capsys,
+            "refine", "--in", str(fam_file),
+            "--prime-floor", "22", "--ratio-denom", "2",
+            "--out", str(cert_file),
+        )
+        data = json.loads(cert_file.read_text())
+        data["base"][0] = [5]
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_not_disjoint_family_exit_1(self, tmp_path, capsys):
         bad_file = tmp_path / "bad.jsonl"
@@ -266,3 +308,31 @@ class TestParsing:
 
     def test_version_exit_0(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_no_prefix_matching(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, "construct", "--x", "100", "--squarefree", "--out", str(tmp_path / "f")
+        )
+        assert code == 2
+
+
+class TestReadme:
+    def test_commands_parse(self):
+        commands = [
+            line.removeprefix("$ apfam ")
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("$ apfam ")
+        ]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command))
+
+    def test_flags_are_options(self):
+        options = set()
+        for action in build_parser()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    options.update(sub._option_string_actions)
+        flags = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text(encoding="utf-8")))
+        assert flags and flags <= options, sorted(flags - options)

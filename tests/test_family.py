@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from apfam.construction import ConstructionParams, build_construction
 from apfam.errors import FamilyFormatError, NotDisjointError, StructuralError
 from apfam.family import (
     Family,
     Progression,
+    _scan_numpy,
+    _scan_python,
     certify,
     density,
     disjoint,
@@ -132,22 +135,51 @@ class TestVerify:
         assert verify_family(fam([(0, 2)], 2)).ok
         assert verify_family(fam([], 5)).ok
 
-    def test_methods_and_prepass_agree(self):
+    def test_numpy_scan_matches_python_oracle(self):
         rng = random.Random(7)
-        for trial in range(30):
-            n = rng.randrange(2, 40)
-            moduli = rng.sample(range(2, 200), n)
-            f = fam([(rng.randrange(q), q) for q in moduli], 200)
-            reports = [
-                verify_family(f, method="python"),
-                verify_family(f, method="python", small_prime_prepass=True),
-                verify_family(f, method="numpy"),
-                verify_family(f, method="numpy", threads=4),
-            ]
-            first = reports[0]
-            for other in reports[1:]:
-                assert other.ok == first.ok
-                assert other.witness == first.witness
+        built = build_construction(ConstructionParams(x=10**6)).family.items
+        verdicts = set()
+        for trial in range(40):
+            if trial % 2:
+                # a subfamily of the construction, so disjoint, unless member
+                # j is moved into member k's class
+                n = rng.randrange(2, 300)
+                items = [built[i] for i in sorted(rng.sample(range(len(built)), n))]
+                if trial % 4 == 3:
+                    k, j = sorted(rng.sample(range(n), 2))
+                    q = items[j].modulus
+                    items[j] = Progression(items[k].residue % q, q)
+            else:
+                n = rng.randrange(2, 40)
+                moduli = sorted(rng.sample(range(2, 200), n))
+                items = [Progression(rng.randrange(q), q) for q in moduli]
+            expected = _scan_python(items)
+            verdicts.add(expected is None)
+            assert _scan_numpy(items, 1) == expected
+            assert _scan_numpy(items, 4) == expected
+        assert verdicts == {True, False}
+
+    def test_moduli_past_int64_take_the_exact_scan(self):
+        scale = 2**63
+        items = build_construction(ConstructionParams(x=10**6)).family.items[:250]
+        wide = Family(
+            tuple(Progression(pr.residue, pr.modulus * scale) for pr in items),
+            10**6 * scale,
+        )
+        report = verify_family(wide)  # int64 numpy would overflow here
+        assert report.ok and report.pair_count == 250 * 249 // 2
+        # move member 200 into member 3's class: the pair now intersects
+        planted = list(wide.items)
+        q = planted[200].modulus
+        planted[200] = Progression(planted[3].residue % q, q)
+        planted = Family(tuple(planted), wide.x_bound)
+        report = verify_family(planted)
+        assert not report.ok
+        w = report.witness
+        assert (w.i, w.j) == _scan_python(planted.items)
+        assert planted.items[w.i].contains(w.common)
+        assert planted.items[w.j].contains(w.common)
+        assert 0 <= w.common < math.lcm(planted.items[w.i].modulus, planted.items[w.j].modulus)
 
     def test_verdict_permutation_invariant(self):
         rng = random.Random(11)

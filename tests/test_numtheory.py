@@ -104,9 +104,10 @@ class TestCrtPair:
         with pytest.raises(DomainError):
             crt_pair(0, 0, 1, 2)
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            crt_pair(1, 2**62, 0, 2**62 - 1)
+    def test_exact_past_int64(self):
+        # the lcm is about 2**124; 2**62 - 1 == -1 (mod 2**62) pins the answer
+        m1, m2 = 2**62, 2**62 - 1
+        assert crt_pair(1, m1, 0, m2) == (m1 * m2 - m2, m1 * m2)
 
     def test_unreduced_inputs(self):
         assert crt_pair(12, 5, 4, 2) == (2, 10)

@@ -55,27 +55,6 @@ class TestSolveExact:
         assert result.k_max == 2
         assert result.witness.moduli() == [2, 4]
 
-    def test_translation_fixing_does_not_change_size(self):
-        for x in (6, 9, 12):
-            free = solve_exact(SearchConfig(x=x, fix_translation=False))
-            fixed = solve_exact(SearchConfig(x=x))
-            assert free.k_max == fixed.k_max
-            assert free.nodes >= fixed.nodes
-
-    def test_prunes_are_admissible(self):
-        for x in (6, 8, 10):
-            reference = solve_exact(
-                SearchConfig(
-                    x=x, prune_density=False, prune_completion=False
-                )
-            )
-            assert reference.k_max == F_TABLE[x]
-
-    def test_order_does_not_change_size(self):
-        for x in (6, 10, 12):
-            asc = solve_exact(SearchConfig(x=x, descending=False))
-            assert asc.k_max == F_TABLE[x]
-
     def test_budget_exhaustion(self):
         result = solve_exact(SearchConfig(x=16, node_budget=20))
         assert not result.proven_optimal
