@@ -157,8 +157,13 @@ def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
     for x in (10**6, 10**7, 10**8, 10**9):
         params = ConstructionParams(x=x, c=c)
         p = choose_prime(params)
-        moduli = enumerate_moduli(params, p)
-        if len(moduli) >= k:
-            items = [assign_residue(q, p) for q in moduli[:k]]
+        members = []
+        _walk(params, p, lambda q, powers: members.append((q, tuple(powers))))
+        if len(members) >= k:
+            members.sort()
+            items = [
+                Progression(_chain_residue(sorted(powers), p), q)
+                for q, powers in members[:k]
+            ]
             return Family.build(items, x)
     raise CapacityError(f"no supported x yields {k} moduli")

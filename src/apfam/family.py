@@ -2,16 +2,18 @@
 
 Two progressions a1 mod q1 and a2 mod q2 share an element exactly when
 a1 == a2 (mod gcd(q1, q2)), so disjointness of a whole family reduces to a
-gcd test over every pair.  A family ties its members to an upper bound
-x_bound on the moduli and is stored on disk as JSON lines: one header
-object, then one object per progression in modulus order.
+gcd test over every pair; verify_family settles most pairs a residue
+class at a time and tests the rest one by one.  A family ties its members
+to an upper bound x_bound on the moduli and is stored on disk as JSON
+lines: one header object, then one object per progression in modulus
+order.
 """
 
+import bisect
 import hashlib
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,13 +21,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FamilyFormatError, NotDisjointError, StructuralError
-from .numtheory import crt_pair
+from .numtheory import crt_pair, sieve_primes
 
-NUMPY_CUTOVER = 200
+NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
+SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
+LEAF_SIZE = 8  # a set this small is scanned, not split
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a family holds one per member
 class Progression:
     """The arithmetic progression residue + k*modulus, k >= 0."""
 
@@ -136,6 +140,12 @@ def _scan_python(items: Sequence[Progression]) -> tuple[int, int] | None:
     return None
 
 
+def _first_meeting(qi, ai, q: np.ndarray, a: np.ndarray) -> int | None:
+    """Position of the first progression in (a, q) that meets ai mod qi."""
+    bad = (ai - a) % np.gcd(qi, q) == 0
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def _scan_numpy(items: Sequence[Progression], threads: int) -> tuple[int, int] | None:
     n = len(items)
     q = np.array([pr.modulus for pr in items], dtype=np.int64)
@@ -143,14 +153,17 @@ def _scan_numpy(items: Sequence[Progression], threads: int) -> tuple[int, int] |
 
     def scan_rows(rows) -> tuple[int, int] | None:
         for i in rows:
-            g = np.gcd(q[i], q[i + 1 :])
-            bad = (a[i] - a[i + 1 :]) % g == 0
-            if bad.any():
-                return i, i + 1 + int(np.argmax(bad))
+            k = _first_meeting(q[i], a[i], q[i + 1 :], a[i + 1 :])
+            if k is not None:
+                return i, i + 1 + k
         return None
 
     if threads <= 1:
         return scan_rows(range(n - 1))
+    # Imported here: only this threaded path needs it, and it costs every
+    # process that imports apfam about 0.6 MB.
+    from concurrent.futures import ThreadPoolExecutor
+
     # Strided row sets balance the load; min of per-worker firsts is the
     # global lexicographic first, so the answer is schedule-independent.
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -162,20 +175,135 @@ def _scan_numpy(items: Sequence[Progression], threads: int) -> tuple[int, int] |
     return min(found) if found else None
 
 
-def verify_family(family: Family, threads: int | None = None) -> VerificationReport:
+def _bases(q: int, primes: Sequence[int], primorial: int) -> tuple[int, ...]:
+    """The primes dividing q among `primes` (whose product is `primorial`),
+    then q's cofactor free of them, if above 1, whether prime or not."""
+    smooth = math.gcd(q, primorial)
+    bases = []
+    rest = smooth
+    for p in primes:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            bases.append(p)
+            rest //= p
+    if rest > 1:
+        bases.append(rest)
+    q //= smooth
+    while (shared := math.gcd(q, smooth)) > 1:
+        q //= shared
+    if q > 1:
+        bases.append(q)
+    return tuple(bases)
+
+
+def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
+    """The lexicographically first meeting pair, as _scan_python finds it.
+
+    A set of members is split by the divisor m shared by the most of them:
+    the members m divides fall into classes by residue mod m, and pairs in
+    different classes differ mod m, hence mod their gcd, so they are
+    disjoint.  Each class, and the members m does not divide, is split
+    again; what no split decides is scanned exactly, row by row.  Those
+    blocks cover every undecided pair once, so the first hit over all
+    blocks is the global first, and rows past the best hit are skipped.
+
+    The divisors tried for a member are b**(k+1) for each base b of its
+    modulus (the primes below SPLIT_PRIME_LIMIT dividing it, and the
+    cofactor left by them), where the whole set is known to lie in one
+    class mod b**k; a stack entry carries those powers as {b: b**k}.
+    """
+    if len(items) < 2:
+        return None
+    q = [pr.modulus for pr in items]
+    a = [pr.residue for pr in items]
+    wide = items[-1].modulus > INT64_MAX
+    arrays = None
+    best = None
+
+    def scan(rows: list[int], partners: list[int]) -> None:
+        """Pairs (i, j), i in rows, j in partners, i < j; both ascending."""
+        nonlocal arrays, best
+        indices = None
+        for i in rows:
+            if best is not None and i > best[0]:
+                return
+            k = bisect.bisect_right(partners, i)
+            if len(partners) - k >= NUMPY_CUTOVER and not wide:
+                if arrays is None:
+                    arrays = (np.array(q, dtype=np.int64), np.array(a, dtype=np.int64))
+                if indices is None:
+                    indices = np.array(partners, dtype=np.intp)
+                qs, as_ = arrays
+                js = indices[k:]
+                hit = _first_meeting(qs[i], as_[i], qs[js], as_[js])
+                j = None if hit is None else partners[k + hit]
+            else:
+                ai, qi = a[i], q[i]
+                j = next(
+                    (j for j in partners[k:] if (ai - a[j]) % math.gcd(qi, q[j]) == 0),
+                    None,
+                )
+            if j is not None:
+                if best is None or (i, j) < best:
+                    best = (i, j)
+                return
+
+    # Row 0 first, outright: a family that meets at all usually meets there,
+    # and then nothing need be split.
+    others = list(range(1, len(items)))
+    scan([0], others)
+    if best is not None:
+        return best
+    primes = sieve_primes(SPLIT_PRIME_LIMIT)
+    primorial = math.prod(primes)
+    bases = [_bases(m, primes, primorial) for m in q]
+    stack = [(others, {})]
+    while stack:
+        members, known = stack.pop()
+        if best is not None and members[0] > best[0]:
+            continue
+        counts = {}
+        if len(members) > LEAF_SIZE:
+            for i in members:
+                for b in bases[i]:
+                    if q[i] % (known.get(b, 1) * b) == 0:
+                        counts[b] = counts.get(b, 0) + 1
+        b = max(counts, key=counts.get, default=None)
+        if b is None or counts[b] < 2:
+            scan(members, members)
+            continue
+        m = known.get(b, 1) * b
+        divided, rest, classes = [], [], {}
+        for i in members:
+            if q[i] % m:
+                rest.append(i)
+            else:
+                divided.append(i)
+                classes.setdefault(a[i] % m, []).append(i)
+        if rest:
+            scan(divided, rest)
+            scan(rest, divided)
+        within = {**known, b: m}
+        children = [(c, within) for c in classes.values() if len(c) > 1]
+        if len(rest) > 1:
+            children.append((rest, known))
+        children.sort(key=lambda child: child[0][0], reverse=True)
+        stack.extend(children)
+    return best
+
+
+def verify_family(family: Family) -> VerificationReport:
     """Check every pair; on failure report the lexicographically first one.
 
-    A family of at least NUMPY_CUTOVER members whose moduli fit in int64 is
-    scanned row by row in numpy, over `threads` threads (default 1); any
-    other family takes the exact Python scan.  The witness does not depend
-    on the route and carries the smallest common element of the pair.
+    Most pairs are proven disjoint a class at a time by a shared divisor
+    (see _scan_partition); the rest are tested one by one, exactly, so
+    moduli of any size are handled.  The witness is the pair _scan_python
+    would find and carries the smallest common element of the pair.
     """
     items = family.items
     n = len(items)
-    if n >= NUMPY_CUTOVER and items[-1].modulus <= INT64_MAX:
-        hit = _scan_numpy(items, threads or 1)
-    else:
-        hit = _scan_python(items)
+    hit = _scan_partition(items)
     pair_count = n * (n - 1) // 2
     if hit is None:
         return VerificationReport(True, None, pair_count, family_digest(family))
@@ -186,26 +314,32 @@ def verify_family(family: Family, threads: int | None = None) -> VerificationRep
     return VerificationReport(False, Witness(i, j, merged[0]), pair_count, None)
 
 
-def certify(family: Family, threads: int | None = None) -> Family:
+def certify(family: Family) -> Family:
     """Return a copy marked verified, or raise NotDisjointError with the pair."""
-    report = verify_family(family, threads=threads)
+    report = verify_family(family)
     if not report.ok:
         w = report.witness
         raise NotDisjointError(family.items[w.i], family.items[w.j], w.common)
     return replace(family, verified=True, certificate=report.digest)
 
 
+def _lines(family: Family) -> Iterable[str]:
+    # The bytes json.dumps gives each line's object, formatted directly.
+    yield '{"x": %d, "count": %d}\n' % (family.x_bound, len(family.items))
+    for pr in family.items:
+        yield '{"q": %d, "a": %d}\n' % (pr.modulus, pr.residue)
+
+
 def dumps_family(family: Family) -> str:
-    lines = [json.dumps({"x": family.x_bound, "count": len(family.items)})]
-    lines.extend(
-        json.dumps({"q": pr.modulus, "a": pr.residue}) for pr in family.items
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(family))
 
 
 def family_digest(family: Family) -> str:
-    """sha256 of the canonical serialized bytes."""
-    return hashlib.sha256(dumps_family(family).encode("utf-8")).hexdigest()
+    """sha256 of the canonical serialized bytes, hashed line by line."""
+    digest = hashlib.sha256()
+    for line in _lines(family):
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def write_family(family: Family, path) -> None:
@@ -220,37 +354,46 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def loads_family(text: str) -> Family:
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
+def _parse_line(line: str, number: int) -> dict:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FamilyFormatError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(row, dict):
+        raise FamilyFormatError(f"line {number}: expected an object")
+    return row
+
+
+def _parse_family(lines: Iterable[str]) -> Family:
+    """A family from its JSON lines, taken one at a time; blank lines skipped."""
+    numbered = enumerate((line for line in lines if line.strip()), 1)
+    first = next(numbered, None)
+    if first is None:
         raise FamilyFormatError("empty family file")
-    rows = []
-    for k, line in enumerate(lines):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FamilyFormatError(f"line {k + 1}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(row, dict):
-            raise FamilyFormatError(f"line {k + 1}: expected an object")
-        rows.append(row)
-    x_bound = _require_int(rows[0], "x", "header")
-    count = _require_int(rows[0], "count", "header")
-    if count != len(rows) - 1:
-        raise FamilyFormatError(
-            f"header count {count} but {len(rows) - 1} progression lines"
-        )
+    header = _parse_line(first[1], 1)
+    x_bound = _require_int(header, "x", "header")
+    count = _require_int(header, "count", "header")
     progressions = []
-    for k, row in enumerate(rows[1:]):
-        q = _require_int(row, "q", f"line {k + 2}")
-        a = _require_int(row, "a", f"line {k + 2}")
+    for number, line in numbered:
+        row = _parse_line(line, number)
+        q = _require_int(row, "q", f"line {number}")
+        a = _require_int(row, "a", f"line {number}")
         progressions.append(Progression(a, q))
+    if count != len(progressions):
+        raise FamilyFormatError(
+            f"header count {count} but {len(progressions)} progression lines"
+        )
     return Family.build(progressions, x_bound)
 
 
+def loads_family(text: str) -> Family:
+    return _parse_family(text.split("\n"))
+
+
 def read_family(path) -> Family:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="\n" splits lines exactly where loads_family does
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
-            text = fh.read()
+            return _parse_family(fh)
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"not UTF-8 text ({exc.reason})") from exc
-    return loads_family(text)

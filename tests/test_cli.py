@@ -107,12 +107,12 @@ class TestVerify:
         assert code == 2
 
     def test_method_flags(self, tmp_path, capsys):
-        # the scan is chosen from the family; only the thread count is set
+        # verify takes no switches: the partition decides how each pair is checked
         path = tmp_path / "fam.jsonl"
         path.write_text(X100_FILE, encoding="utf-8")
-        code, out = run(capsys, "verify", "--in", str(path), "--threads", "2")
+        code, out = run(capsys, "verify", "--in", str(path))
         assert code == 0 and last_json(out)["ok"]
-        for flags in (["--method", "numpy"], ["--prepass"]):
+        for flags in (["--method", "numpy"], ["--prepass"], ["--threads", "2"]):
             code, _ = run(capsys, "verify", "--in", str(path), *flags)
             assert code == 2
 
@@ -292,11 +292,13 @@ class TestReduce:
 
 class TestBench:
     def test_small_run(self, capsys):
-        code, out = run(capsys, "bench", "--k", "300")
-        assert code == 0
-        summary = last_json(out)
-        assert summary["ok"] and summary["pairs"] == 300 * 299 // 2
-        assert summary["pairs_per_second"] > 0
+        for threads in ([], ["--threads", "2"]):
+            code, out = run(capsys, "bench", "--k", "300", *threads)
+            assert code == 0
+            summary = last_json(out)
+            assert summary["ok"] and summary["pairs"] == 300 * 299 // 2
+            assert summary["pairs_per_second"] > 0
+            assert summary["verify_seconds"] >= 0
 
 
 class TestParsing:

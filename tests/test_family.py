@@ -1,12 +1,18 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from apfam.construction import ConstructionParams, build_construction
+from apfam.construction import (
+    ConstructionParams,
+    build_construction,
+    truncated_construction,
+)
 from apfam.errors import FamilyFormatError, NotDisjointError, StructuralError
+from apfam.numtheory import crt_pair
 from apfam.family import (
     Family,
     Progression,
@@ -190,6 +196,143 @@ class TestVerify:
             assert verify_family(fam(base, 100)).ok == verdict
 
 
+def oracle_witness(items):
+    """(i, j, common) from the dense Python scan, or None."""
+    hit = _scan_python(items)
+    if hit is None:
+        return None
+    i, j = hit
+    common = crt_pair(items[i].residue, items[i].modulus, items[j].residue, items[j].modulus)
+    return i, j, common[0]
+
+
+def partition_witness(family):
+    report = verify_family(family)
+    assert report.pair_count == family.size * (family.size - 1) // 2
+    assert report.ok == (report.witness is None)
+    w = report.witness
+    return None if w is None else (w.i, w.j, w.common)
+
+
+def meet(items, k, j):
+    """Copy of items whose member j is moved to meet member k."""
+    items = list(items)
+    q = items[j].modulus
+    items[j] = Progression(items[k].residue % q, q)
+    return items
+
+
+def plants(n):
+    """An optional (k, j) pair to plant, k < j < n, early or late in the rows."""
+    tail = max(1, n // 10)
+    early = st.tuples(st.integers(0, min(9, n - 2)), st.integers(n // 2, n - 1))
+    late = st.tuples(st.integers(n - tail - 1, n - 2), st.integers(n - tail, n - 1))
+    return st.none() | (early | late).filter(lambda kj: kj[0] < kj[1])
+
+
+SHARED = [6, 10, 12, 15, 18, 20, 30, 36, 40, 42, 60, 84, 90, 120, 210, 2 * 997, 6 * 1009]
+
+
+def greedy_disjoint(rows):
+    """The members (a mod q) of rows, in order, that miss every one kept."""
+    kept = {}
+    for q, a in rows:
+        pr = Progression(a % q, q)
+        if q not in kept and all(disjoint(pr, other) for other in kept.values()):
+            kept[q] = pr
+    return sorted(kept.values(), key=lambda pr: pr.modulus)
+
+
+class TestPartitionOracle:
+    """verify_family against the dense _scan_python: same verdict, same
+    witness pair and common element."""
+
+    @given(st.integers(0, 2**64))
+    def test_random_wide_moduli_sharing_small_factors(self, seed):
+        # a random disjoint family, so that the first meeting pair, if any,
+        # is the planted one and may lie in any block of the partition
+        rng = random.Random(seed)
+        cofactors = [1, 1009, 1013 * 1019, 2**61 - 1]
+        items = greedy_disjoint(
+            (rng.choice(SHARED) * rng.choice(cofactors + [rng.randrange(1, 2**60)]), rng.randrange(2**70))
+            for _ in range(100)
+        )
+        plant = None
+        if len(items) > 1 and rng.random() < 0.8:
+            plant = sorted(rng.sample(range(len(items)), 2))
+        if plant:
+            items = meet(items, *plant)
+        f = Family(tuple(items), items[-1].modulus)
+        expected = oracle_witness(f.items)
+        assert (expected is None) == (plant is None)
+        assert partition_witness(f) == expected
+
+    @given(
+        st.lists(st.integers(0, 2**40), min_size=2, max_size=40),
+        st.data(),
+    )
+    def test_two_adic_chain_with_cofactors(self, draws, data):
+        # member i is 2**i + 2**(i+1)*u mod 2**(i+1)*c with c odd: residues of
+        # i < j differ mod 2**(i+1), so the family is disjoint and deep
+        items = [
+            Progression((2**i + 2 ** (i + 1) * u) % (2 ** (i + 1) * (2 * u + 1)), 2 ** (i + 1) * (2 * u + 1))
+            for i, u in enumerate(draws)
+        ]
+        items = sorted({pr.modulus: pr for pr in items}.values(), key=lambda pr: pr.modulus)
+        plant = data.draw(plants(len(items))) if len(items) > 1 else None
+        if plant:
+            items = meet(items, *plant)
+        f = Family(tuple(items), items[-1].modulus)
+        expected = oracle_witness(f.items)
+        assert (expected is None) == (plant is None)
+        assert partition_witness(f) == expected
+
+    @settings(max_examples=40)
+    @given(plants(400))
+    def test_construction_with_one_plant(self, plant):
+        items = CONSTRUCTION.items
+        if plant:
+            items = meet(items, *plant)
+        f = Family(tuple(items), CONSTRUCTION.x_bound)
+        expected = oracle_witness(f.items)
+        assert (expected is None) == (plant is None)
+        assert partition_witness(f) == expected
+
+    @settings(max_examples=30)
+    @given(plants(250))
+    def test_construction_scaled_past_int64(self, plant):
+        scale = 2**63
+        items = [Progression(pr.residue, pr.modulus * scale) for pr in CONSTRUCTION.items[:250]]
+        if plant:
+            items = meet(items, *plant)
+        f = Family(tuple(items), CONSTRUCTION.x_bound * scale)
+        assert partition_witness(f) == oracle_witness(f.items)
+
+    @settings(max_examples=30)
+    @given(plants(250))
+    def test_no_shared_divisor_is_one_dense_block(self, plant):
+        # moduli 1000003 * r for primes r above 1000: no shared base splits,
+        # so every row is scanned, the long ones in numpy
+        primes = [r for r in range(1001, 3000) if all(r % d for d in range(2, 55))][:250]
+        items = [Progression(i, 1_000_003 * r) for i, r in enumerate(primes)]
+        if plant:
+            items = meet(items, *plant)
+        f = Family(tuple(items), 1_000_003 * primes[-1])
+        expected = oracle_witness(f.items)
+        assert (expected is None) == (plant is None)
+        assert partition_witness(f) == expected
+
+    def test_deep_power_of_two_chain(self):
+        chain = fam([(2 ** (k - 1), 2**k) for k in range(1, 301)], 2**300)
+        report = verify_family(chain)
+        assert report.ok and report.pair_count == 300 * 299 // 2
+        planted = Family(tuple(meet(chain.items, 150, 299)), chain.x_bound)
+        assert partition_witness(planted) == oracle_witness(planted.items)
+
+
+CONSTRUCTION = truncated_construction(400)
+
+
 class TestCertify:
     def test_marks_verified_with_digest(self):
         f = certify(fam(SEVEN_EIGHTHS, 8))
@@ -238,6 +381,12 @@ class TestSerialization:
             '{"q": 8, "a": 3}\n'
         )
 
+    def test_lines_are_json_dumps(self):
+        f = fam([(0, 5), (2**70 + 1, 2**71), (3, 10**30)], 10**30)
+        lines = [json.dumps({"x": f.x_bound, "count": f.size})]
+        lines += [json.dumps({"q": pr.modulus, "a": pr.residue}) for pr in f.items]
+        assert dumps_family(f) == "\n".join(lines) + "\n"
+
     def test_round_trip(self, tmp_path):
         f = fam([(0, 5), (2, 10), (3, 15)], 100)
         path = tmp_path / "fam.jsonl"
@@ -245,6 +394,25 @@ class TestSerialization:
         again = read_family(path)
         assert again == f
         assert family_digest(again) == family_digest(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": 8, "count": 2}\r\n{"q": 2, "a": 0}\r\n{"q": 4, "a": 1}\r\n',
+            '{"x": 8, "count": 2}\r{"q": 2, "a": 0}\n{"q": 4, "a": 1}\n',
+            '\n\n{"x": 8, "count": 1}\n\n{"q": 2, "a": 0}',
+        ],
+    )
+    def test_read_splits_lines_as_loads(self, tmp_path, text):
+        path = tmp_path / "fam.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for parse in (lambda: read_family(path), lambda: loads_family(text)):
+            try:
+                outcomes.append(parse())
+            except FamilyFormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_truncated_json(self):
         with pytest.raises(FamilyFormatError):
