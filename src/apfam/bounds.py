@@ -43,10 +43,28 @@ def omega_tail_count(x: int, c: float) -> int:
         return 0
     if x > OMEGA_TABLE_LIMIT:
         raise CapacityError(f"omega table for {x} exceeds {OMEGA_TABLE_LIMIT}")
-    table = np.zeros(x + 1, dtype=np.int8)
-    for p in sieve_primes(x):
-        table[p::p] += 1
+    table = _distinct_prime_counts(x)
     return int(np.count_nonzero(table[1:] > omega_threshold(x, c)))
+
+
+def _distinct_prime_counts(x: int) -> np.ndarray:
+    """table[n] = number of distinct primes dividing n, for 0 <= n <= x."""
+    table = np.zeros(x + 1, dtype=np.int8)
+    primes = np.array(sieve_primes(x), dtype=np.int64)
+    r = math.isqrt(x)
+    # a slice per prime costs about a microsecond however few its multiples;
+    # primes above x // r have fewer than r of them, so those are marked
+    # instead by one gather per multiplier m <= r
+    n_small = int(np.searchsorted(primes, x // r, side="right"))
+    for p in primes[:n_small].tolist():
+        table[p::p] += 1
+    large = primes[n_small:]
+    for m in range(1, r + 1):
+        count = int(np.searchsorted(large, x // m, side="right"))
+        if count == 0:
+            break
+        table[large[:count] * m] += 1
+    return table
 
 
 def prime_power_reciprocal_sum(x: int) -> float:

@@ -1,16 +1,24 @@
 """Exact maximum family size by branch and bound, plus a slow oracle.
 
-The search walks the moduli from x down to 2 and either assigns a compatible
-residue or skips the modulus.  Two admissible prunes: a disjoint family's
-densities sum to at most 1 (exact rationals, never floats), and a budget
-bound on how many of the remaining moduli could still fit under the unused
-density.  Disjointness is translation invariant, so the first chosen residue
-may be fixed to 0 without losing any family size.
+Two progressions whose moduli are coprime always meet (CRT), so every pair
+of moduli in a disjoint family shares a prime.  The search keeps a list of
+live candidates: moduli below every chosen one that share a prime with each
+of them and still have a residue left outside every chosen class, each with
+a bitmask of its residues already met.  Choosing a residue a mod q drops the
+candidates coprime to q and, for the others, marks the residues congruent
+to a modulo gcd(c, q) (forward checking); a candidate whose residues are all
+met is dropped.  The search branches on the largest candidate, trying each
+free residue in ascending order and then skipping it.
+
+A disjoint family's densities sum to at most 1.  With the integer weights
+w(q) = lcm(2..x) // q this reads sum w(q) <= lcm(2..x), exactly; a node is
+pruned when the chosen members plus the most live candidates whose smallest
+weights fit in the unused weight cannot beat the best family found.
+Disjointness is translation invariant, so the first chosen residue is 0.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError, DomainError
 from .construction import ConstructionParams, build_construction
@@ -43,61 +51,61 @@ class SearchResult:
 def solve_exact(config: SearchConfig) -> SearchResult:
     """Maximum disjoint family with distinct moduli in [2, config.x]."""
     x = config.x
-
-    # harmonic prefix sums: H[m] = sum of 1/j for 2 <= j <= m, exact
-    H = [Fraction(0)] * (x + 1)
-    for m in range(2, x + 1):
-        H[m] = H[m - 1] + Fraction(1, m)
-
-    def max_addable(hi: int, budget: Fraction) -> int:
-        # largest r with the r cheapest remaining reciprocals summing <= budget;
-        # the remaining moduli are always 2..hi
-        a, b = 0, hi - 1
-        while a < b:
-            mid = (a + b + 1) // 2
-            if H[hi] - H[hi - mid] <= budget:
-                a = mid
-            else:
-                b = mid - 1
-        return a
+    lcm = math.lcm(*range(2, x + 1))
+    weight = [0, 0] + [lcm // q for q in range(2, x + 1)]
+    full = [(1 << c) - 1 for c in range(x + 1)]
+    # class_mask[c][g][r]: the residues mod c that are r mod g, for g | c
+    class_mask = [
+        {g: [sum(1 << i for i in range(r, c, g)) for r in range(g)]
+         for g in range(2, c + 1) if c % g == 0}
+        for c in range(x + 1)
+    ]
 
     nodes = 0
     cutoff = False
-    best_k = 0
     best: list[tuple[int, int]] = []
     chosen: list[tuple[int, int]] = []
 
-    def rec(q: int, dens: Fraction):
-        nonlocal nodes, cutoff, best_k, best
-        if cutoff:
-            return
+    def rec(live: list[tuple[int, int]], used: int):
+        # live: (c, mask of residues mod c met by a chosen class), c descending
+        nonlocal nodes, cutoff, best
         nodes += 1
         if nodes > config.node_budget:
             cutoff = True
             return
-        if len(chosen) > best_k:
-            best_k = len(chosen)
+        if len(chosen) > len(best):
             best = list(chosen)
-        if q < 2:
+        room = lcm - used
+        fit = 0
+        for c, _ in live:
+            room -= weight[c]
+            if room < 0:
+                break
+            fit += 1
+        if len(chosen) + fit <= len(best):
             return
-        if len(chosen) + max_addable(q, 1 - dens) <= best_k:
-            return
-        recip = Fraction(1, q)
-        if dens + recip <= 1:
-            pairs = [(math.gcd(q, qi), ai) for qi, ai in chosen]
-            for a in range(q) if chosen else range(1):
-                if all((a - ai) % g for g, ai in pairs):
-                    chosen.append((q, a))
-                    rec(q - 1, dens + recip)
-                    chosen.pop()
-                    if cutoff:
-                        return
-        rec(q - 1, dens)
+        (q, mask), rest = live[0], live[1:]
+        for a in range(q) if chosen else range(1):
+            if mask >> a & 1:
+                continue
+            chosen.append((q, a))
+            narrowed = []
+            for c, m in rest:
+                g = math.gcd(c, q)
+                if g > 1:
+                    m |= class_mask[c][g][a % g]
+                    if m != full[c]:
+                        narrowed.append((c, m))
+            rec(narrowed, used + weight[q])
+            chosen.pop()
+            if cutoff:
+                return
+        rec(rest, used)
 
-    rec(x, Fraction(0))
+    rec([(q, 0) for q in range(x, 1, -1)], 0)
     witness = Family.build([Progression(a, q) for q, a in best], x)
     return SearchResult(
-        k_max=best_k, witness=witness, nodes=nodes, proven_optimal=not cutoff
+        k_max=len(best), witness=witness, nodes=nodes, proven_optimal=not cutoff
     )
 
 

@@ -10,6 +10,7 @@ from apfam.bounds import (
     alpha_exceeding_fraction,
     bounds_report,
     choose_alpha,
+    _distinct_prime_counts,
     omega_tail_count,
     omega_tail_majorant,
     omega_threshold,
@@ -34,6 +35,11 @@ def tail_coefficient(x, threshold):
     return threshold / math.sqrt(lx / math.log(lx))
 
 
+OMEGA_MAX = 5000
+OMEGA_REF = [0, 0] + [len(sympy.primefactors(n)) for n in range(2, OMEGA_MAX + 1)]
+SMALL_PRIMES = list(sympy.primerange(2, math.isqrt(OMEGA_MAX) + 1))
+
+
 class TestOmegaTailCount:
     def test_zero_for_tiny_x(self):
         assert omega_tail_count(1, 1.0) == 0
@@ -55,6 +61,28 @@ class TestOmegaTailCount:
             if len(sympy.factorint(n)) > omega_threshold(1000, c)
         )
         assert omega_tail_count(1000, c) == expected
+
+    @given(
+        st.one_of(
+            st.integers(3, OMEGA_MAX),
+            # the prime-by-prime / multiplier-by-multiplier split moves at
+            # squares and products of two primes
+            st.builds(lambda p: p * p, st.sampled_from(SMALL_PRIMES)),
+            st.builds(
+                lambda p, q, d: p * q - d,
+                st.sampled_from(SMALL_PRIMES),
+                st.sampled_from(SMALL_PRIMES),
+                st.sampled_from((0, 1)),
+            ),
+        ),
+        st.floats(0.3, 3.0),
+    )
+    def test_table_matches_per_n_count(self, x, c):
+        table = _distinct_prime_counts(x)
+        assert table.tolist() == OMEGA_REF[: x + 1]
+        threshold = omega_threshold(x, c)
+        expected = sum(1 for w in OMEGA_REF[1 : x + 1] if w > threshold)
+        assert omega_tail_count(x, c) == expected
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -152,6 +152,20 @@ class TestSolve:
         assert code == 3
         assert not last_json(out)["proven_optimal"]
 
+    def test_budget_boundary(self, capsys, tmp_path):
+        code, out = run(capsys, "solve", "--x", "20")
+        assert code == 0
+        nodes = last_json(out)["nodes"]
+        code, out = run(capsys, "solve", "--x", "20", "--budget", str(nodes))
+        assert code == 0 and last_json(out)["proven_optimal"]
+        witness_file = tmp_path / "w.jsonl"
+        code, out = run(
+            capsys, "solve", "--x", "20", "--budget", str(nodes - 1),
+            "--emit-witness", str(witness_file),
+        )
+        assert code == 3 and not last_json(out)["proven_optimal"]
+        assert verify_family(read_family(witness_file)).ok
+
     def test_domain_exit_2(self, capsys):
         code, _ = run(capsys, "solve", "--x", "100")
         assert code == 2
