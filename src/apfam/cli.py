@@ -21,7 +21,7 @@ from .construction import (
     truncated_construction,
 )
 from .errors import CapacityError, DomainError, NotDisjointError
-from .family import _scan_numpy, read_family, verify_family, write_family
+from .family import _scan_dense, read_family, verify_family, write_family
 from .refinement import (
     RefinementParams,
     build_chain,
@@ -211,7 +211,7 @@ def cmd_reduce(args) -> int:
 def cmd_bench(args) -> int:
     family = truncated_construction(args.k)
     started = time.perf_counter()
-    hit = _scan_numpy(family.items, args.threads or 1)
+    hit = _scan_dense(family.items)
     elapsed = time.perf_counter() - started
     started = time.perf_counter()
     report = verify_family(family)
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bench", "time the dense pairwise scan and verify at size k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

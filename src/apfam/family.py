@@ -140,39 +140,58 @@ def _scan_python(items: Sequence[Progression]) -> tuple[int, int] | None:
     return None
 
 
-def _first_meeting(qi, ai, q: np.ndarray, a: np.ndarray) -> int | None:
-    """Position of the first progression in (a, q) that meets ai mod qi."""
-    bad = (ai - a) % np.gcd(qi, q) == 0
-    return int(np.argmax(bad)) if bad.any() else None
+class _RowScanner:
+    """Exact pair tests, row by row, keeping the first meeting pair found.
 
+    A row with NUMPY_CUTOVER or more partners runs in numpy when every
+    modulus fits in int64; every other row runs on Python integers.
+    """
 
-def _scan_numpy(items: Sequence[Progression], threads: int) -> tuple[int, int] | None:
-    n = len(items)
-    q = np.array([pr.modulus for pr in items], dtype=np.int64)
-    a = np.array([pr.residue for pr in items], dtype=np.int64)
+    def __init__(self, items: Sequence[Progression]):
+        self.q = [pr.modulus for pr in items]
+        self.a = [pr.residue for pr in items]
+        self.wide = max(self.q, default=0) > INT64_MAX
+        self.arrays = None  # (q, a) as int64, built on the first numpy row
+        self.best = None
 
-    def scan_rows(rows) -> tuple[int, int] | None:
+    def scan(self, rows: list[int], partners: list[int]) -> None:
+        """Pairs (i, j), i in rows, j in partners, i < j; both ascending.
+
+        Stops at the block's first hit and keeps it if it beats the best;
+        rows past the best hit are skipped.
+        """
+        q, a = self.q, self.a
+        block = None  # partners' int64 moduli and residues
         for i in rows:
-            k = _first_meeting(q[i], a[i], q[i + 1 :], a[i + 1 :])
-            if k is not None:
-                return i, i + 1 + k
-        return None
+            if self.best is not None and i > self.best[0]:
+                return
+            k = bisect.bisect_right(partners, i)
+            if len(partners) - k >= NUMPY_CUTOVER and not self.wide:
+                if block is None:
+                    if self.arrays is None:
+                        self.arrays = (np.array(q, dtype=np.int64), np.array(a, dtype=np.int64))
+                    js = np.array(partners, dtype=np.intp)
+                    block = (self.arrays[0][js], self.arrays[1][js])
+                bad = (a[i] - block[1][k:]) % np.gcd(q[i], block[0][k:]) == 0
+                j = partners[k + int(np.argmax(bad))] if bad.any() else None
+            else:
+                ai, qi = a[i], q[i]
+                j = next(
+                    (j for j in partners[k:] if (ai - a[j]) % math.gcd(qi, q[j]) == 0),
+                    None,
+                )
+            if j is not None:
+                if self.best is None or (i, j) < self.best:
+                    self.best = (i, j)
+                return
 
-    if threads <= 1:
-        return scan_rows(range(n - 1))
-    # Imported here: only this threaded path needs it, and it costs every
-    # process that imports apfam about 0.6 MB.
-    from concurrent.futures import ThreadPoolExecutor
 
-    # Strided row sets balance the load; min of per-worker firsts is the
-    # global lexicographic first, so the answer is schedule-independent.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        found = [
-            hit
-            for hit in pool.map(scan_rows, (range(s, n - 1, threads) for s in range(threads)))
-            if hit is not None
-        ]
-    return min(found) if found else None
+def _scan_dense(items: Sequence[Progression]) -> tuple[int, int] | None:
+    """Every pair, row by row: the partition's leaf scan over the whole family."""
+    scanner = _RowScanner(items)
+    everyone = list(range(len(items)))
+    scanner.scan(everyone, everyone)
+    return scanner.best
 
 
 def _bases(q: int, primes: Sequence[int], primorial: int) -> tuple[int, ...]:
@@ -204,9 +223,10 @@ def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
     the members m divides fall into classes by residue mod m, and pairs in
     different classes differ mod m, hence mod their gcd, so they are
     disjoint.  Each class, and the members m does not divide, is split
-    again; what no split decides is scanned exactly, row by row.  Those
-    blocks cover every undecided pair once, so the first hit over all
-    blocks is the global first, and rows past the best hit are skipped.
+    again; what no split decides goes to _RowScanner, the exact row
+    scanner _scan_dense runs over the whole family.  Those blocks cover
+    every undecided pair once, so the first hit over all blocks is the
+    global first, and rows past the best hit are skipped.
 
     The divisors tried for a member are b**(k+1) for each base b of its
     modulus (the primes below SPLIT_PRIME_LIMIT dividing it, and the
@@ -215,53 +235,22 @@ def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
     """
     if len(items) < 2:
         return None
-    q = [pr.modulus for pr in items]
-    a = [pr.residue for pr in items]
-    wide = items[-1].modulus > INT64_MAX
-    arrays = None
-    best = None
-
-    def scan(rows: list[int], partners: list[int]) -> None:
-        """Pairs (i, j), i in rows, j in partners, i < j; both ascending."""
-        nonlocal arrays, best
-        indices = None
-        for i in rows:
-            if best is not None and i > best[0]:
-                return
-            k = bisect.bisect_right(partners, i)
-            if len(partners) - k >= NUMPY_CUTOVER and not wide:
-                if arrays is None:
-                    arrays = (np.array(q, dtype=np.int64), np.array(a, dtype=np.int64))
-                if indices is None:
-                    indices = np.array(partners, dtype=np.intp)
-                qs, as_ = arrays
-                js = indices[k:]
-                hit = _first_meeting(qs[i], as_[i], qs[js], as_[js])
-                j = None if hit is None else partners[k + hit]
-            else:
-                ai, qi = a[i], q[i]
-                j = next(
-                    (j for j in partners[k:] if (ai - a[j]) % math.gcd(qi, q[j]) == 0),
-                    None,
-                )
-            if j is not None:
-                if best is None or (i, j) < best:
-                    best = (i, j)
-                return
+    scanner = _RowScanner(items)
+    q, a, scan = scanner.q, scanner.a, scanner.scan
 
     # Row 0 first, outright: a family that meets at all usually meets there,
     # and then nothing need be split.
     others = list(range(1, len(items)))
     scan([0], others)
-    if best is not None:
-        return best
+    if scanner.best is not None:
+        return scanner.best
     primes = sieve_primes(SPLIT_PRIME_LIMIT)
     primorial = math.prod(primes)
     bases = [_bases(m, primes, primorial) for m in q]
     stack = [(others, {})]
     while stack:
         members, known = stack.pop()
-        if best is not None and members[0] > best[0]:
+        if scanner.best is not None and members[0] > scanner.best[0]:
             continue
         counts = {}
         if len(members) > LEAF_SIZE:
@@ -290,16 +279,17 @@ def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
             children.append((rest, known))
         children.sort(key=lambda child: child[0][0], reverse=True)
         stack.extend(children)
-    return best
+    return scanner.best
 
 
 def verify_family(family: Family) -> VerificationReport:
     """Check every pair; on failure report the lexicographically first one.
 
     Most pairs are proven disjoint a class at a time by a shared divisor
-    (see _scan_partition); the rest are tested one by one, exactly, so
-    moduli of any size are handled.  The witness is the pair _scan_python
-    would find and carries the smallest common element of the pair.
+    (see _scan_partition); the rest are tested one by one, exactly, by
+    _RowScanner, so moduli of any size are handled.  The witness is the
+    pair _scan_python would find and carries the smallest common element
+    of the pair.
     """
     items = family.items
     n = len(items)
@@ -344,21 +334,21 @@ def family_digest(family: Family) -> str:
 
 def write_family(family: Family, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_family(family))
+        fh.writelines(_lines(family))
 
 
-def _require_int(obj: dict, key: str, where: str) -> int:
-    value = obj.get(key)
+def _require_int(value, what: str) -> int:
+    """value itself if it is an int (not a bool), else FamilyFormatError."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FamilyFormatError(f"{where}: field {key!r} must be an integer")
+        raise FamilyFormatError(f"{what} must be an integer")
     return value
 
 
 def _parse_line(line: str, number: int) -> dict:
     try:
         row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FamilyFormatError(f"line {number}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        raise FamilyFormatError(f"line {number}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
         raise FamilyFormatError(f"line {number}: expected an object")
     return row
@@ -371,13 +361,13 @@ def _parse_family(lines: Iterable[str]) -> Family:
     if first is None:
         raise FamilyFormatError("empty family file")
     header = _parse_line(first[1], 1)
-    x_bound = _require_int(header, "x", "header")
-    count = _require_int(header, "count", "header")
+    x_bound = _require_int(header.get("x"), "header: field 'x'")
+    count = _require_int(header.get("count"), "header: field 'count'")
     progressions = []
     for number, line in numbered:
         row = _parse_line(line, number)
-        q = _require_int(row, "q", f"line {number}")
-        a = _require_int(row, "a", f"line {number}")
+        q = _require_int(row.get("q"), f"line {number}: field 'q'")
+        a = _require_int(row.get("a"), f"line {number}: field 'a'")
         progressions.append(Progression(a, q))
     if count != len(progressions):
         raise FamilyFormatError(

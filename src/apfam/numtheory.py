@@ -101,16 +101,7 @@ def omega(n: int) -> int:
     """Number of distinct prime divisors."""
     if n < 1:
         raise DomainError(f"omega undefined for {n}")
-    count = 0
-    m = n
-    for p in _primes_for(math.isqrt(n)):
-        if p * p > m:
-            break
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-    return count + (1 if m > 1 else 0)
+    return len(factorize(n).parts)
 
 
 def crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DomainError, FamilyFormatError, NotDisjointError
-from .family import Family, Progression
+from .family import Family, Progression, _require_int
 from .numtheory import crt_pair, factorize
 
 
@@ -343,33 +343,37 @@ def certificate_to_dict(cert: RefinementCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> RefinementCertificate:
+    def num(value, key: str) -> int:
+        return _require_int(value, f"certificate field {key!r}")
+
     try:
         params = RefinementParams(
-            x=data["params"]["x"],
+            x=num(data["params"]["x"], "x"),
             omega_cap=data["params"]["omega_cap"],
             prime_floor=data["params"]["prime_floor"],
             ratio_denominator=data["params"]["ratio_denominator"],
         )
-        base = tuple(Progression(a, q) for q, a in data["base"])
+        base = tuple(Progression(num(a, "base"), num(q, "base")) for q, a in data["base"])
         steps = tuple(
             RefinementStep(
-                index=s["index"],
-                chosen_modulus=s["chosen_modulus"],
-                candidate_primes=tuple(s["candidate_primes"]),
-                prime=s["prime"],
-                residue_class=s["residue_class"],
-                combined_residue=s["combined_residue"],
-                survivors=tuple(s["survivors"]),
+                index=num(s["index"], "index"),
+                chosen_modulus=num(s["chosen_modulus"], "chosen_modulus"),
+                candidate_primes=tuple(num(p, "candidate_primes") for p in s["candidate_primes"]),
+                prime=num(s["prime"], "prime"),
+                residue_class=num(s["residue_class"], "residue_class"),
+                combined_residue=num(s["combined_residue"], "combined_residue"),
+                survivors=tuple(num(q, "survivors") for q in s["survivors"]),
             )
             for s in data["steps"]
         )
+        witness_prime = data["witness_prime"]
         return RefinementCertificate(
             params=params,
             base=base,
             steps=steps,
-            t=data["t"],
-            witness_prime=data["witness_prime"],
-            divisible_count=data["divisible_count"],
+            t=num(data["t"], "t"),
+            witness_prime=None if witness_prime is None else num(witness_prime, "witness_prime"),
+            divisible_count=num(data["divisible_count"], "divisible_count"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FamilyFormatError(f"malformed certificate: {exc}") from exc
@@ -385,8 +389,8 @@ def read_certificate(path) -> RefinementCertificate:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FamilyFormatError(f"invalid certificate JSON: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"certificate is not UTF-8 text ({exc.reason})") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+            raise FamilyFormatError(f"invalid certificate JSON: {exc}") from exc
     return certificate_from_dict(data)

@@ -4,7 +4,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from apfam.cli import build_parser, main
+from apfam.construction import assign_residue
 from apfam.family import (
     Family,
     Progression,
@@ -115,6 +118,9 @@ class TestVerify:
         for flags in (["--method", "numpy"], ["--prepass"], ["--threads", "2"]):
             code, _ = run(capsys, "verify", "--in", str(path), *flags)
             assert code == 2
+        # nor does bench: its dense scan runs on one thread
+        code, _ = run(capsys, "bench", "--k", "300", "--threads", "2")
+        assert code == 2
 
     def test_intersection_past_int64_exit_1(self, tmp_path, capsys):
         # lcm(2**40, 2**40 + 15) is past 2**63; the witness stays exact
@@ -129,6 +135,15 @@ class TestVerify:
     def test_non_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.jsonl"
         path.write_bytes(b'{"x": 3, "count": 1}\n{"q": 2, "a": 0}\xff\n')
+        code = main(["verify", "--in", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_oversized_integer_exit_2(self, tmp_path, capsys):
+        # past Python's default limit on digits in an integer string
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"x": %s, "count": 1}\n{"q": 2, "a": 0}\n' % ("9" * 5000), encoding="utf-8")
         code = main(["verify", "--in", str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -169,6 +184,24 @@ class TestSolve:
     def test_domain_exit_2(self, capsys):
         code, _ = run(capsys, "solve", "--x", "100")
         assert code == 2
+
+
+# one field of a one-step certificate per case, set to a value that is not an int
+NON_INTEGER_FIELDS = [
+    (("params", "x"), 4090.0),
+    (("base", 0, 0), "802"),
+    (("base", 0, 1), True),
+    (("steps", 0, "index"), 1.0),
+    (("steps", 0, "chosen_modulus"), "802"),
+    (("steps", 0, "candidate_primes", 0), 2.0),
+    (("steps", 0, "prime"), "2"),
+    (("steps", 0, "residue_class"), None),
+    (("steps", 0, "combined_residue"), [0]),
+    (("steps", 0, "survivors", 0), 802.0),
+    (("t",), False),
+    (("witness_prime",), "401"),
+    (("divisible_count",), 3.0),
+]
 
 
 class TestRefineAndCheck:
@@ -225,6 +258,47 @@ class TestRefineAndCheck:
         )
         data = json.loads(cert_file.read_text())
         data["base"][0] = [5]
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_oversized_integer_exit_2(self, tmp_path, capsys):
+        fam_file = self.build_inputs(tmp_path, capsys)
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text('{"params": {"x": %s}}' % ("9" * 5000), encoding="utf-8")
+        code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        NON_INTEGER_FIELDS,
+        ids=["/".join(map(str, path)) for path, _ in NON_INTEGER_FIELDS],
+    )
+    def test_non_integer_field_exit_2(self, tmp_path, capsys, path, value):
+        # two anchored groups, split mod 2 by the shift of the second: one step
+        fam_file = tmp_path / "six.jsonl"
+        members = [assign_residue(q, 401) for q in (802, 2406, 4010)] + [
+            Progression((assign_residue(q, 409).residue + 1) % q, q)
+            for q in (818, 2454, 4090)
+        ]
+        write_family(Family.build(members, 4090), fam_file)
+        cert_file = tmp_path / "cert.json"
+        code, _ = run(
+            capsys,
+            "refine", "--in", str(fam_file),
+            "--omega-cap", "3.5", "--prime-floor", "400", "--ratio-denom", "1.5",
+            "--out", str(cert_file),
+        )
+        data = json.loads(cert_file.read_text())
+        assert code == 0 and data["t"] == 1
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
         cert_file.write_text(json.dumps(data), encoding="utf-8")
         code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
         err = capsys.readouterr().err
@@ -306,13 +380,12 @@ class TestReduce:
 
 class TestBench:
     def test_small_run(self, capsys):
-        for threads in ([], ["--threads", "2"]):
-            code, out = run(capsys, "bench", "--k", "300", *threads)
-            assert code == 0
-            summary = last_json(out)
-            assert summary["ok"] and summary["pairs"] == 300 * 299 // 2
-            assert summary["pairs_per_second"] > 0
-            assert summary["verify_seconds"] >= 0
+        code, out = run(capsys, "bench", "--k", "300")
+        assert code == 0
+        summary = last_json(out)
+        assert summary["ok"] and summary["pairs"] == 300 * 299 // 2
+        assert summary["pairs_per_second"] > 0
+        assert summary["verify_seconds"] >= 0
 
 
 class TestParsing:

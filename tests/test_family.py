@@ -14,9 +14,10 @@ from apfam.construction import (
 from apfam.errors import FamilyFormatError, NotDisjointError, StructuralError
 from apfam.numtheory import crt_pair
 from apfam.family import (
+    NUMPY_CUTOVER,
     Family,
     Progression,
-    _scan_numpy,
+    _scan_dense,
     _scan_python,
     certify,
     density,
@@ -142,14 +143,17 @@ class TestVerify:
         assert verify_family(fam([], 5)).ok
 
     def test_numpy_scan_matches_python_oracle(self):
+        # _scan_dense runs a row in numpy when it has NUMPY_CUTOVER or more
+        # partners, so families above NUMPY_CUTOVER + 1 members take both
+        # routes; each hit is recorded with the route of its row
         rng = random.Random(7)
         built = build_construction(ConstructionParams(x=10**6)).family.items
-        verdicts = set()
+        seen = set()
         for trial in range(40):
             if trial % 2:
                 # a subfamily of the construction, so disjoint, unless member
                 # j is moved into member k's class
-                n = rng.randrange(2, 300)
+                n = rng.randrange(2, 2 * NUMPY_CUTOVER)
                 items = [built[i] for i in sorted(rng.sample(range(len(built)), n))]
                 if trial % 4 == 3:
                     k, j = sorted(rng.sample(range(n), 2))
@@ -160,10 +164,22 @@ class TestVerify:
                 moduli = sorted(rng.sample(range(2, 200), n))
                 items = [Progression(rng.randrange(q), q) for q in moduli]
             expected = _scan_python(items)
-            verdicts.add(expected is None)
-            assert _scan_numpy(items, 1) == expected
-            assert _scan_numpy(items, 4) == expected
-        assert verdicts == {True, False}
+            assert _scan_dense(items) == expected
+            if expected is None:
+                seen.add("disjoint, numpy rows" if n > NUMPY_CUTOVER + 1 else "disjoint")
+            else:
+                seen.add("numpy hit" if n - 1 - expected[0] >= NUMPY_CUTOVER else "python hit")
+        assert seen == {"disjoint", "disjoint, numpy rows", "numpy hit", "python hit"}
+        # planted pairs at either end of a numpy row (3) and a Python row (60); with
+        # moduli times 2**63, past int64, every row takes the exact route
+        for scale in (1, 2**63):
+            items = [Progression(pr.residue, pr.modulus * scale) for pr in built[:250]]
+            assert _scan_python(items) is None and _scan_dense(items) is None
+            for k, j in ((3, 4), (3, 249), (60, 61), (60, 249)):
+                planted = list(items)
+                q = planted[j].modulus
+                planted[j] = Progression(planted[k].residue % q, q)
+                assert _scan_dense(planted) == _scan_python(planted) == (k, j)
 
     def test_moduli_past_int64_take_the_exact_scan(self):
         scale = 2**63

@@ -88,6 +88,11 @@ class TestOmega:
         assert omega(12) == 2
         assert omega(30030) == 6
 
+    def test_capacity(self):
+        # factorize's limit, checked before any sieve is built
+        with pytest.raises(CapacityError):
+            omega(10**13)
+
 
 class TestCrtPair:
     def test_merge(self):
