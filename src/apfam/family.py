@@ -13,6 +13,7 @@ import bisect
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -27,6 +28,9 @@ NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
 SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
 LEAF_SIZE = 8  # a set this small is scanned, not split
 INT64_MAX = int(np.iinfo(np.int64).max)
+# A progression line exactly as _lines writes it.  The digit cap leaves
+# integers past int()'s default 4300-digit limit to the json path.
+_CANONICAL_LINE = re.compile(r'\{"q": (0|[1-9][0-9]{0,999}), "a": (0|[1-9][0-9]{0,999})\}\n?')
 
 
 @dataclass(frozen=True, slots=True)  # slots: a family holds one per member
@@ -365,9 +369,13 @@ def _parse_family(lines: Iterable[str]) -> Family:
     count = _require_int(header.get("count"), "header: field 'count'")
     progressions = []
     for number, line in numbered:
-        row = _parse_line(line, number)
-        q = _require_int(row.get("q"), f"line {number}: field 'q'")
-        a = _require_int(row.get("a"), f"line {number}: field 'a'")
+        canonical = _CANONICAL_LINE.fullmatch(line)
+        if canonical:
+            q, a = int(canonical[1]), int(canonical[2])
+        else:
+            row = _parse_line(line, number)
+            q = _require_int(row.get("q"), f"line {number}: field 'q'")
+            a = _require_int(row.get("a"), f"line {number}: field 'a'")
         progressions.append(Progression(a, q))
     if count != len(progressions):
         raise FamilyFormatError(

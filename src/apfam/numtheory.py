@@ -6,6 +6,7 @@ size limits instead of running without bound.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -161,8 +162,14 @@ def _count_below(x: int, primes: tuple[int, ...], i: int, y: float, power_cap: b
     total = 1
     for j in range(i, len(primes)):
         p = primes[j]
-        if p > x:
-            break
+        # Once p**2 > x only single primes fit, and each is <= y, so within the cap.
+        if p * p > x:
+            return total + bisect_right(primes, x, j) - j
+        # Once p**3 > x, p's subtree is p, p*r for primes r in (p, x // p],
+        # and p**2 if the cap allows.
+        if p * p * p > x:
+            total += bisect_right(primes, x // p, j + 1) - j + (not power_cap or p * p <= y)
+            continue
         pa = p
         while pa <= x and (not power_cap or pa <= y):
             total += _count_below(x // pa, primes, j + 1, y, power_cap)

@@ -16,7 +16,7 @@ records every choice so a checker can replay the run independently.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyFormatError, NotDisjointError
 from .family import Family, Progression, _require_int
@@ -47,6 +47,9 @@ class RefinementParams:
             object.__setattr__(self, "prime_floor", math.exp(math.sqrt(lx * math.log(lx))))
         if self.ratio_denominator is None:
             object.__setattr__(self, "ratio_denominator", scale)
+        for name in ("omega_cap", "prime_floor", "ratio_denominator"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_cap <= 0:
             raise DomainError("omega_cap must be positive")
         if self.prime_floor < 2:
@@ -95,17 +98,23 @@ def _squarefree_primes(q: int) -> list[int]:
     return fact.primes()
 
 
+def _eligible(family: Family, params: RefinementParams) -> tuple[Family, dict[int, list[int]]]:
+    # filter_eligible's family, and the primes of each member kept, factored once
+    kept, primes_of = [], {}
+    for pr in family.items:
+        primes = _squarefree_primes(pr.modulus)
+        if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
+            kept.append(pr)
+            primes_of[pr.modulus] = primes
+    return Family(items=tuple(kept), x_bound=family.x_bound), primes_of
+
+
 def filter_eligible(family: Family, params: RefinementParams) -> Family:
     """Members with omega below omega_cap and a prime factor above prime_floor.
 
     Both conditions are strict.  Requires every modulus squarefree.
     """
-    kept = []
-    for pr in family.items:
-        primes = _squarefree_primes(pr.modulus)
-        if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
-            kept.append(pr)
-    return Family(items=tuple(kept), x_bound=family.x_bound)
+    return _eligible(family, params)[0]
 
 
 def _covering_violation(chosen: Progression, other: Progression) -> NotDisjointError:
@@ -127,6 +136,15 @@ def refine_step(
     concrete intersecting pair when some member shares no new prime with the
     chosen one, which is impossible for a disjoint input.
     """
+    return _refine_step(members, used_primes, combined_residue, _squarefree_primes)
+
+
+def _refine_step(
+    members: Sequence[Progression],
+    used_primes: tuple[int, ...],
+    combined_residue: int,
+    primes_of: Callable[[int], list[int]],
+) -> RefinementStep:
     if len(members) < 2:
         raise DomainError("refinement step needs at least two members")
     product = math.prod(used_primes)
@@ -137,7 +155,7 @@ def refine_step(
             )
 
     new_primes = {
-        pr.modulus: [p for p in _squarefree_primes(pr.modulus) if p not in used_primes]
+        pr.modulus: [p for p in primes_of(pr.modulus) if p not in used_primes]
         for pr in members
     }
     chosen = min(members, key=lambda pr: (len(new_primes[pr.modulus]), pr.modulus))
@@ -167,13 +185,16 @@ def refine_step(
 
 
 def _stop_witness(
-    members: Sequence[Progression], used: tuple[int, ...], params: RefinementParams
+    members: Sequence[Progression],
+    used: tuple[int, ...],
+    params: RefinementParams,
+    primes_of: dict[int, list[int]],
 ) -> tuple[int, int] | None:
     # the stopping rule: an unused prime above prime_floor dividing at least
     # |members| / ratio_denominator of the members
     counts: dict[int, int] = {}
     for pr in members:
-        for p in _squarefree_primes(pr.modulus):
+        for p in primes_of[pr.modulus]:
             if p >= params.prime_floor and p not in used:
                 counts[p] = counts.get(p, 0) + 1
     if not counts:
@@ -191,7 +212,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     equal); with a smaller ratio the chain can strand itself on one member
     with no unused prime, which raises DomainError.
     """
-    base = filter_eligible(family, params)
+    base, primes_of = _eligible(family, params)
     members = list(base.items)
     if not members:
         return RefinementCertificate(
@@ -200,8 +221,9 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     steps: list[RefinementStep] = []
     used: tuple[int, ...] = ()
     combined = 0
+    by_modulus = {pr.modulus: pr for pr in members}
     while True:
-        hit = _stop_witness(members, used, params)
+        hit = _stop_witness(members, used, params, primes_of)
         if hit is not None:
             return RefinementCertificate(
                 params=params,
@@ -216,8 +238,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
                 "refinement stalled on one member with no qualifying prime; "
                 "requires ratio_denominator >= omega_cap to be guaranteed"
             )
-        step = refine_step(members, used, combined, params)
-        by_modulus = {pr.modulus: pr for pr in members}
+        step = _refine_step(members, used, combined, primes_of.__getitem__)
         members = [by_modulus[q] for q in step.survivors]
         used = used + (step.prime,)
         combined = step.combined_residue
@@ -239,7 +260,7 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     params = cert.params
     ratio = params.ratio_denominator
     try:
-        expected_base = filter_eligible(family, params)
+        expected_base, primes_of = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
     if cert.base != expected_base.items:
@@ -261,7 +282,7 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         if step.index != k or step.chosen_modulus not in current:
             return CertificateCheck(False, "structure")
         expected_candidates = tuple(
-            p for p in _squarefree_primes(step.chosen_modulus) if p not in used
+            p for p in primes_of[step.chosen_modulus] if p not in used
         )
         if step.candidate_primes != expected_candidates:
             return CertificateCheck(False, "candidates")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -273,12 +274,7 @@ class TestRefineAndCheck:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "path, value",
-        NON_INTEGER_FIELDS,
-        ids=["/".join(map(str, path)) for path, _ in NON_INTEGER_FIELDS],
-    )
-    def test_non_integer_field_exit_2(self, tmp_path, capsys, path, value):
+    def six_member_cert(self, tmp_path, capsys):
         # two anchored groups, split mod 2 by the shift of the second: one step
         fam_file = tmp_path / "six.jsonl"
         members = [assign_residue(q, 401) for q in (802, 2406, 4010)] + [
@@ -293,6 +289,15 @@ class TestRefineAndCheck:
             "--omega-cap", "3.5", "--prime-floor", "400", "--ratio-denom", "1.5",
             "--out", str(cert_file),
         )
+        return code, fam_file, cert_file
+
+    @pytest.mark.parametrize(
+        "path, value",
+        NON_INTEGER_FIELDS,
+        ids=["/".join(map(str, path)) for path, _ in NON_INTEGER_FIELDS],
+    )
+    def test_non_integer_field_exit_2(self, tmp_path, capsys, path, value):
+        code, fam_file, cert_file = self.six_member_cert(tmp_path, capsys)
         data = json.loads(cert_file.read_text())
         assert code == 0 and data["t"] == 1
         target = data
@@ -303,6 +308,32 @@ class TestRefineAndCheck:
         code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
         err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["omega_cap", "prime_floor", "ratio_denominator"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_param_exit_2(self, tmp_path, capsys, field, value):
+        # NaN makes every bound check compare false, so a genuine certificate
+        # with its ratio_denominator edited to NaN would otherwise pass
+        code, fam_file, cert_file = self.six_member_cert(tmp_path, capsys)
+        data = json.loads(cert_file.read_text())
+        assert code == 0
+        data["params"][field] = value
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("ratio_denom", ["nan", "inf"])
+    def test_non_finite_refine_option_exit_2(self, tmp_path, capsys, ratio_denom):
+        _, fam_file, _ = self.six_member_cert(tmp_path, capsys)
+        cert_file = tmp_path / "non_finite.json"
+        code = main(
+            ["refine", "--in", str(fam_file), "--ratio-denom", ratio_denom, "--out", str(cert_file)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and not cert_file.exists()
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_not_disjoint_family_exit_1(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
+import io
 import json
 import math
 import random
+import re
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +15,12 @@ from apfam.construction import (
     build_construction,
     truncated_construction,
 )
-from apfam.errors import FamilyFormatError, NotDisjointError, StructuralError
+from apfam import family as family_module
+from apfam.errors import DomainError, FamilyFormatError, NotDisjointError, StructuralError
 from apfam.numtheory import crt_pair
 from apfam.family import (
     NUMPY_CUTOVER,
+    _CANONICAL_LINE,
     Family,
     Progression,
     _scan_dense,
@@ -37,6 +43,52 @@ def fam(pairs, x_bound):
 
 
 SEVEN_EIGHTHS = [(0, 2), (1, 4), (3, 8)]
+
+# Progression lines as _lines writes them, and near misses the pattern must
+# leave to the json path.
+LINE_FORMS = [
+    '{"q": %s, "a": %s}',
+    '{"q": 0%s, "a": %s}',
+    '{"q": %s, "a": -%s}',
+    '{"q":  %s, "a": %s}',
+    '{"q":%s,"a":%s}',
+    ' {"q": %s, "a": %s}',
+    '{"q": %s, "a": %s} ',
+    '{"q": %s, "a": %s}\r',
+    '{"q": %s, "a": %s}x',
+    '{"q": %s.0, "a": %s}',
+    '{"q": %s, "a": %s, "a": 1}',
+    '{"q": "%s", "a": %s}',
+]
+PAST_INT_LIMIT = "9" * 5000  # past int()'s default 4300-digit limit, so kept as text
+LINE_INTS = st.one_of(
+    st.integers(0, 70).map(str),
+    st.sampled_from([999, 1000, 1001]).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1).map(str)
+    ),
+    st.just(PAST_INT_LIMIT),
+)
+
+
+@st.composite
+def family_texts(draw):
+    lines = ['{"x": %d, "count": %d}' % (10**1100, draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 5))):
+        near_miss = st.sampled_from(LINE_FORMS[1:] + ['{"a": %s, "q": %s}'])
+        form = draw(st.one_of(st.just(LINE_FORMS[0]), near_miss))
+        lines.append(form % (draw(LINE_INTS), draw(LINE_INTS)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse):
+    """The family or the error a parse gives, with any warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse()
+        except DomainError as exc:  # FamilyFormatError or StructuralError
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
 
 
 class TestProgression:
@@ -429,6 +481,29 @@ class TestSerialization:
             except FamilyFormatError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    @given(family_texts())
+    def test_canonical_pattern_agrees_with_json_path(self, text):
+        for parse in (
+            lambda: loads_family(text),
+            lambda: family_module._parse_family(io.StringIO(text, newline="\n")),
+        ):
+            fast = _outcome(parse)
+            with mock.patch.object(family_module, "_CANONICAL_LINE", re.compile("(?!)")):
+                slow = _outcome(parse)
+            assert fast == slow
+
+    def test_canonical_pattern_takes_written_lines_only(self):
+        for q, a in ((2, 0), (10**999, 10**999 - 1)):
+            line = '{"q": %d, "a": %d}' % (q, a)
+            assert _CANONICAL_LINE.fullmatch(line).groups() == (str(q), str(a))
+            assert _CANONICAL_LINE.fullmatch(line + "\n")
+        for q in (str(10**1000), PAST_INT_LIMIT):
+            assert not _CANONICAL_LINE.fullmatch('{"q": %s, "a": 0}\n' % q)
+        for form in LINE_FORMS[1:]:
+            assert not _CANONICAL_LINE.fullmatch(form % (5, 3) + "\n")
+        with pytest.raises(FamilyFormatError):
+            loads_family('{"x": 8, "count": 1}\n{"q": %s, "a": 0}\n' % PAST_INT_LIMIT)
 
     def test_truncated_json(self):
         with pytest.raises(FamilyFormatError):

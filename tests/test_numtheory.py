@@ -180,6 +180,34 @@ def _smooth_oracle(x, y, power_cap):
     return out
 
 
+PRIMES_TO_200 = sieve_primes(200)
+COUNT_X_MAX = 30_000
+
+
+def _count_x():
+    # any x, and the edges of the closed subtrees: p**2, p**2 - 1, p**3, p*q
+    primes = st.sampled_from(PRIMES_TO_200)
+    return st.one_of(
+        st.integers(1, COUNT_X_MAX),
+        primes.map(lambda p: p * p).filter(lambda x: x <= COUNT_X_MAX),
+        primes.map(lambda p: p * p - 1).filter(lambda x: x <= COUNT_X_MAX),
+        primes.map(lambda p: p**3).filter(lambda x: x <= COUNT_X_MAX),
+        st.tuples(primes, primes).map(math.prod).filter(lambda x: x <= COUNT_X_MAX),
+    )
+
+
+def _count_y(x):
+    # any y in [2, x], a prime exactly, or the float just below a prime
+    top = max(x, 2)
+    primes = [p for p in PRIMES_TO_200 + [211, 997, 7919, 29989] if p <= top]
+    return st.one_of(
+        st.integers(2, top),
+        st.floats(2, top),
+        st.sampled_from(primes),
+        st.sampled_from(primes).map(lambda p: math.nextafter(p, 0)).filter(lambda y: y >= 2),
+    )
+
+
 class TestSmoothCounts:
     def test_examples(self):
         assert psi(100, 5) == 34
@@ -210,6 +238,24 @@ class TestSmoothCounts:
                 assert enumerate_smooth(x, y, "powersmooth") == _smooth_oracle(
                     x, y, True
                 )
+
+    @given(st.data())
+    def test_counts_match_enumeration_at_subtree_edges(self, data):
+        x = data.draw(_count_x(), label="x")
+        y = data.draw(_count_y(x), label="y")
+        assert psi(x, y) == len(enumerate_smooth(x, y))
+        assert psi_star(x, y) == len(enumerate_smooth(x, y, "powersmooth"))
+
+    def test_frozen_counts_at_scale(self):
+        # values of the one-call-per-number recursion, before subtrees closed
+        for x, plain, star in (
+            (10**6, 223_605, 208_358),
+            (3 * 10**6, 604_408, 567_526),
+            (10**7, 1_790_783, 1_691_659),
+        ):
+            y = l_scale(1, x)
+            assert psi(x, y) == plain
+            assert psi_star(x, y) == star
 
     def test_star_never_exceeds_plain(self):
         for x in (10, 100, 1000):

@@ -61,6 +61,10 @@ class TestParams:
             RefinementParams(x=100, prime_floor=1)
         with pytest.raises(DomainError):
             RefinementParams(x=100, ratio_denominator=0)
+        for field in ("omega_cap", "prime_floor", "ratio_denominator"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    RefinementParams(x=100, **{field: value})
 
 
 class TestFilterEligible:
