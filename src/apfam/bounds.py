@@ -17,7 +17,7 @@ import numpy as np
 from .construction import ConstructionParams, build_construction
 from .errors import CapacityError, DomainError
 from .family import Family, Progression
-from .numtheory import factorize, l_scale, psi, psi_star, sieve_primes
+from .numtheory import factor_table, factorize, l_scale, psi, psi_star, sieve_primes
 
 OMEGA_TABLE_LIMIT = 50_000_000
 MAJORANT_CUTOFF = 1e-30
@@ -117,15 +117,23 @@ def split_squarefull(n: int) -> tuple[int, int]:
     return alpha, beta
 
 
+def _squarefull_parts(family: Family) -> np.ndarray:
+    # split_squarefull(q)[0] for every modulus q, from one factor table
+    table = factor_table(family.moduli())
+    alpha = np.ones(family.size, dtype=np.int64)
+    square = table.exponent > 1
+    powers = table.prime[square].astype(np.int64) ** table.exponent[square]
+    np.multiply.at(alpha, table.index[square], powers)
+    return alpha
+
+
 def choose_alpha(family: Family) -> int:
     """The squarefull part shared by the most members; ties pick the smallest."""
-    counts: dict[int, int] = {}
-    for pr in family.items:
-        alpha = split_squarefull(pr.modulus)[0]
-        counts[alpha] = counts.get(alpha, 0) + 1
-    if not counts:
+    if not family.items:
         return 1
-    return min(counts, key=lambda a: (-counts[a], a))
+    # unique sorts ascending and argmax takes the first maximum
+    values, counts = np.unique(_squarefull_parts(family), return_counts=True)
+    return int(values[np.argmax(counts)])
 
 
 def squarefull_reduce(family: Family, alpha: int) -> Family:
@@ -138,7 +146,8 @@ def squarefull_reduce(family: Family, alpha: int) -> Family:
     """
     if alpha < 1:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    selected = [pr for pr in family.items if split_squarefull(pr.modulus)[0] == alpha]
+    parts = _squarefull_parts(family).tolist()
+    selected = [pr for pr, part in zip(family.items, parts) if part == alpha]
     reduced_bound = max(2, family.x_bound // alpha)
     if not selected:
         return Family(items=(), x_bound=reduced_bound)
@@ -164,7 +173,8 @@ def alpha_exceeding_fraction(family: Family, c: float = 1 / 3) -> Fraction:
     if not family.items:
         return Fraction(0)
     bound = l_scale(c, max(16, family.x_bound))
-    over = sum(1 for pr in family.items if split_squarefull(pr.modulus)[0] > bound)
+    # squarefull parts are at most FACTOR_LIMIT < 2**53, so exact as doubles
+    over = int(np.count_nonzero(_squarefull_parts(family) > bound))
     return Fraction(over, len(family.items))
 
 

@@ -1,7 +1,8 @@
 """Deterministic integer utilities: primes, factorization, CRT, smooth counts.
 
-Everything here is pure and exact, on Python integers of any size.  The
-sieves, trial division and enumerations raise CapacityError past their
+Everything here is pure and exact: on Python integers of any size, and in
+factor_table on int64 arrays, which hold every integer up to FACTOR_LIMIT.
+The sieves, trial division and enumerations raise CapacityError past their
 size limits instead of running without bound.
 """
 
@@ -9,12 +10,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, DomainError
 
 SIEVE_LIMIT = 50_000_000
 FACTOR_LIMIT = 10**12
 ENUM_LIMIT = 5_000_000
+# entries in one remainder matrix of factor_table: members times primes
+_TABLE_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=16)
@@ -96,6 +102,75 @@ def factorize(n: int) -> Factorization:
         parts.append((m, 1))
     parts.sort(key=lambda pe: pe[0] ** pe[1])
     return Factorization(n, tuple(parts))
+
+
+class FactorTable(NamedTuple):
+    """The factorizations of many moduli, as flat arrays.
+
+    Hit k says that prime[k]**exponent[k] exactly divides the modulus at
+    position index[k].  Hits run member by member, each member's ascending
+    by prime, and a member's cofactor, 1 or a prime above all its hits,
+    completes its factorization.  Hits are stored narrow (int32 index and
+    prime, int8 exponent; every hit prime is at most isqrt(FACTOR_LIMIT)),
+    cofactors as int64.
+    """
+
+    index: np.ndarray
+    prime: np.ndarray
+    exponent: np.ndarray
+    cofactor: np.ndarray
+
+
+def factor_table(moduli: Sequence[int]) -> FactorTable:
+    """Factor every modulus at once by trial division on int64 arrays.
+
+    Walks the primes up to isqrt(max(moduli)) once, in blocks sized so that
+    each remainder matrix holds about _TABLE_BLOCK entries, and drops a
+    member once its cofactor is below p*p for the next prime p, which is
+    factorize's own stopping rule.  Every member's factorization equals
+    factorize's, and the first modulus in order that factorize rejects
+    raises the same error here.
+    """
+    if moduli and not 1 <= min(moduli) <= max(moduli) <= FACTOR_LIMIT:
+        factorize(next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT))
+    rest = np.array(moduli, dtype=np.int64)
+    top = math.isqrt(int(rest.max())) if rest.size else 1
+    sieved = _primes_for(top)
+    primes = np.array(sieved[: bisect_right(sieved, top)], dtype=np.int64)
+    indices, hit_primes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
+    exponents = [np.zeros(0, np.int8)]
+    active = np.arange(rest.size)
+    start = 0
+    while start < primes.size:
+        active = active[rest[active] >= primes[start] ** 2]
+        if not active.size:
+            break
+        block = primes[start : start + max(1, _TABLE_BLOCK // active.size)]
+        start += block.size
+        values = rest[active]
+        row, col = np.nonzero(values[:, None] % block == 0)
+        if not row.size:
+            continue
+        prime = block[col]
+        left = values[row] // prime
+        exponent = np.ones_like(prime)
+        more = left % prime == 0
+        while more.any():
+            left = np.where(more, left // prime, left)
+            exponent += more
+            more = left % prime == 0
+        # a member can hit several primes of one block: divide them out in turn
+        np.floor_divide.at(rest, active[row], prime**exponent)
+        indices.append(active[row].astype(np.int32))
+        hit_primes.append(prime.astype(np.int32))
+        exponents.append(exponent.astype(np.int8))
+    index = np.concatenate(indices)
+    # blocks ascend by prime, so a stable sort by member keeps each member's
+    # hits ascending
+    order = np.argsort(index, kind="stable")
+    return FactorTable(
+        index[order], np.concatenate(hit_primes)[order], np.concatenate(exponents)[order], rest
+    )
 
 
 def omega(n: int) -> int:

@@ -16,11 +16,14 @@ records every choice so a checker can replay the run independently.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import chain, compress
+from typing import Sequence
 
-from .errors import DomainError, FamilyFormatError, NotDisjointError
+import numpy as np
+
+from .errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
 from .family import Family, Progression, _require_int
-from .numtheory import crt_pair, factorize
+from .numtheory import FACTOR_LIMIT, FactorTable, crt_pair, factor_table
 
 
 @dataclass(frozen=True)
@@ -91,22 +94,53 @@ class CertificateCheck:
         return self.ok
 
 
-def _squarefree_primes(q: int) -> list[int]:
-    fact = factorize(q)
-    if any(e > 1 for _, e in fact.parts):
-        raise DomainError(f"modulus {q} is not squarefree")
-    return fact.primes()
+def _squarefree_table(moduli: list[int]) -> FactorTable:
+    # factor_table(moduli), failing as factoring member by member would: on the
+    # first modulus in order that is not squarefree or cannot be factored
+    try:
+        table = factor_table(moduli)
+    except CapacityError:
+        # a modulus that is not squarefree before the first oversized one fails first
+        _squarefree_table(moduli[: next(i for i, q in enumerate(moduli) if q > FACTOR_LIMIT)])
+        raise
+    square = table.index[table.exponent > 1]
+    if square.size:
+        raise DomainError(f"modulus {moduli[int(square.min())]} is not squarefree")
+    return table
+
+
+def _prime_lists(table: FactorTable, moduli: list[int], keep: np.ndarray) -> dict[int, list[int]]:
+    # the ascending primes of each kept modulus; nothing is listed for the rest
+    hit = keep[table.index]
+    primes = table.prime[hit].tolist()
+    counts = np.bincount(table.index[hit], minlength=keep.size)[keep].tolist()
+    cofactors = table.cofactor[keep].tolist()
+    lists, start = {}, 0
+    for q, count, cofactor in zip(compress(moduli, keep.tolist()), counts, cofactors):
+        # built at their final length: a list grown by append over-allocates
+        below = primes[start : start + count]
+        lists[q] = below + [cofactor] if cofactor > 1 else below
+        start += count
+    return lists
+
+
+def _keep_mask(table: FactorTable, params: RefinementParams) -> np.ndarray:
+    # filter_eligible's test on every member: omega below omega_cap and a
+    # prime above prime_floor
+    omega = np.bincount(table.index, minlength=table.cofactor.size) + (table.cofactor > 1)
+    large = table.cofactor > params.prime_floor
+    large[table.index[table.prime > params.prime_floor]] = True
+    return (omega < params.omega_cap) & large
 
 
 def _eligible(family: Family, params: RefinementParams) -> tuple[Family, dict[int, list[int]]]:
-    # filter_eligible's family, and the primes of each member kept, factored once
-    kept, primes_of = [], {}
-    for pr in family.items:
-        primes = _squarefree_primes(pr.modulus)
-        if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
-            kept.append(pr)
-            primes_of[pr.modulus] = primes
-    return Family(items=tuple(kept), x_bound=family.x_bound), primes_of
+    # filter_eligible's family, and the primes of each member kept, from one
+    # factor table of the whole family
+    moduli = family.moduli()
+    table = _squarefree_table(moduli)
+    keep = _keep_mask(table, params)
+    kept = tuple(compress(family.items, keep.tolist()))
+    return Family(items=kept, x_bound=family.x_bound), _prime_lists(table, moduli, keep)
 
 
 def filter_eligible(family: Family, params: RefinementParams) -> Family:
@@ -127,7 +161,6 @@ def refine_step(
     members: Sequence[Progression],
     used_primes: tuple[int, ...],
     combined_residue: int,
-    params: RefinementParams,
 ) -> RefinementStep:
     """One refinement step on the current survivor set.
 
@@ -136,14 +169,14 @@ def refine_step(
     concrete intersecting pair when some member shares no new prime with the
     chosen one, which is impossible for a disjoint input.
     """
-    return _refine_step(members, used_primes, combined_residue, _squarefree_primes)
+    return _refine_step(members, used_primes, combined_residue)
 
 
 def _refine_step(
     members: Sequence[Progression],
     used_primes: tuple[int, ...],
     combined_residue: int,
-    primes_of: Callable[[int], list[int]],
+    primes_of: dict[int, list[int]] | None = None,
 ) -> RefinementStep:
     if len(members) < 2:
         raise DomainError("refinement step needs at least two members")
@@ -153,9 +186,14 @@ def _refine_step(
             raise DomainError(
                 f"member {pr} is not pinned to {combined_residue} mod {product}"
             )
+    if primes_of is None:
+        moduli = [pr.modulus for pr in members]
+        primes_of = _prime_lists(
+            _squarefree_table(moduli), moduli, np.ones(len(moduli), dtype=bool)
+        )
 
     new_primes = {
-        pr.modulus: [p for p in primes_of(pr.modulus) if p not in used_primes]
+        pr.modulus: [p for p in primes_of[pr.modulus] if p not in used_primes]
         for pr in members
     }
     chosen = min(members, key=lambda pr: (len(new_primes[pr.modulus]), pr.modulus))
@@ -238,7 +276,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
                 "refinement stalled on one member with no qualifying prime; "
                 "requires ratio_denominator >= omega_cap to be guaranteed"
             )
-        step = _refine_step(members, used, combined, primes_of.__getitem__)
+        step = _refine_step(members, used, combined, primes_of)
         members = [by_modulus[q] for q in step.survivors]
         used = used + (step.prime,)
         combined = step.combined_residue
@@ -367,6 +405,13 @@ def certificate_from_dict(data: dict) -> RefinementCertificate:
     def num(value, key: str) -> int:
         return _require_int(value, f"certificate field {key!r}")
 
+    def nums(values, key: str) -> tuple[int, ...]:
+        # a whole list in one pass; type(v) is int rejects bools too
+        values = tuple(values)
+        if not set(map(type, values)) <= {int}:
+            raise FamilyFormatError(f"certificate field {key!r} must be an integer")
+        return values
+
     try:
         params = RefinementParams(
             x=num(data["params"]["x"], "x"),
@@ -374,16 +419,17 @@ def certificate_from_dict(data: dict) -> RefinementCertificate:
             prime_floor=data["params"]["prime_floor"],
             ratio_denominator=data["params"]["ratio_denominator"],
         )
-        base = tuple(Progression(num(a, "base"), num(q, "base")) for q, a in data["base"])
+        nums(chain.from_iterable(data["base"]), "base")
+        base = tuple(Progression(a, q) for q, a in data["base"])
         steps = tuple(
             RefinementStep(
                 index=num(s["index"], "index"),
                 chosen_modulus=num(s["chosen_modulus"], "chosen_modulus"),
-                candidate_primes=tuple(num(p, "candidate_primes") for p in s["candidate_primes"]),
+                candidate_primes=nums(s["candidate_primes"], "candidate_primes"),
                 prime=num(s["prime"], "prime"),
                 residue_class=num(s["residue_class"], "residue_class"),
                 combined_residue=num(s["combined_residue"], "combined_residue"),
-                survivors=tuple(num(q, "survivors") for q in s["survivors"]),
+                survivors=nums(s["survivors"], "survivors"),
             )
             for s in data["steps"]
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from apfam.bounds import (
     CountsRow,
@@ -20,13 +20,46 @@ from apfam.bounds import (
     squarefull_reduce,
 )
 from apfam.construction import ConstructionParams, build_construction
-from apfam.errors import DomainError
+from apfam.errors import CapacityError, DomainError
 from apfam.family import Family, Progression, verify_family
-from apfam.numtheory import l_scale
+from apfam.numtheory import FACTOR_LIMIT, l_scale
 
 
 def fam(pairs, x_bound):
     return Family.build([Progression(a, q) for a, q in pairs], x_bound)
+
+
+# random families, squarefull parts common among the small moduli; the
+# reductions below are compared with their member-by-member forms
+families = st.dictionaries(
+    st.one_of(
+        st.integers(min_value=2, max_value=3000),
+        st.builds(lambda a, b: a * b, st.sampled_from((4, 8, 9, 25, 72)), st.integers(1, 40)),
+        st.integers(min_value=2, max_value=FACTOR_LIMIT),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    max_size=25,
+).map(lambda members: fam([(a % q, q) for q, a in members.items()], max(members, default=2)))
+
+
+def choose_alpha_per_member(family):
+    counts = {}
+    for pr in family.items:
+        alpha = split_squarefull(pr.modulus)[0]
+        counts[alpha] = counts.get(alpha, 0) + 1
+    return min(counts, key=lambda a: (-counts[a], a)) if counts else 1
+
+
+def reduce_per_member(family, alpha):
+    # (residue, modulus) pairs of squarefull_reduce(family, alpha)
+    classes = {}
+    for pr in family.items:
+        if split_squarefull(pr.modulus)[0] == alpha:
+            classes.setdefault(pr.residue % alpha, []).append(pr)
+    if not classes:
+        return []
+    best = min(classes, key=lambda b: (-len(classes[b]), b))
+    return [(pr.residue % (pr.modulus // alpha), pr.modulus // alpha) for pr in classes[best]]
 
 
 def tail_coefficient(x, threshold):
@@ -207,6 +240,39 @@ class TestSquarefullReduce:
                 (pr.residue, pr.modulus) for pr in chain
             ]
             assert verify_family(reduced).ok
+
+
+class TestAgainstPerMember:
+    @settings(max_examples=80)
+    @given(families)
+    def test_choose_alpha(self, family):
+        assert choose_alpha(family) == choose_alpha_per_member(family)
+
+    @settings(max_examples=80)
+    @given(families, st.sampled_from((None, 1, 4, 8, 9, 16)))
+    def test_squarefull_reduce(self, family, alpha):
+        alpha = choose_alpha_per_member(family) if alpha is None else alpha
+        expected = reduce_per_member(family, alpha)
+        if any(q < 2 for _, q in expected):
+            with pytest.raises(DomainError):
+                squarefull_reduce(family, alpha)
+        else:
+            reduced = squarefull_reduce(family, alpha)
+            assert [(pr.residue, pr.modulus) for pr in reduced.items] == expected
+
+    @settings(max_examples=80)
+    @given(families, st.sampled_from((1 / 3, 0.1, 0.5)))
+    def test_alpha_exceeding_fraction(self, family, c):
+        bound = l_scale(c, max(16, family.x_bound))
+        over = sum(1 for pr in family.items if split_squarefull(pr.modulus)[0] > bound)
+        expected = Fraction(over, family.size) if family.items else Fraction(0)
+        assert alpha_exceeding_fraction(family, c) == expected
+
+    def test_capacity(self):
+        f = fam([(0, 12), (0, 10**13)], 10**13)
+        for reduction in (choose_alpha, alpha_exceeding_fraction, lambda f: squarefull_reduce(f, 4)):
+            with pytest.raises(CapacityError, match=str(10**13)):
+                reduction(f)
 
 
 class TestAlphaFraction:

@@ -274,6 +274,25 @@ class TestRefineAndCheck:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "moduli, code",
+        [((12, 10**12 + 1), 1), ((10**12 + 1,), 2)],
+        ids=["not-squarefree-first", "oversized-alone"],
+    )
+    def test_base_factoring_errors(self, tmp_path, capsys, moduli, code):
+        # a modulus that is not squarefree fails the base check (exit 1) even
+        # before one past the factoring limit; that one alone is exit 2
+        _, _, cert_file = self.six_member_cert(tmp_path, capsys)
+        fam_file = tmp_path / "bad.jsonl"
+        write_family(Family.build([Progression(0, q) for q in moduli], max(moduli)), fam_file)
+        assert main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 1:
+            assert last_json(out)["reason"] == "base"
+        else:
+            assert err.startswith("error:")
+
     def six_member_cert(self, tmp_path, capsys):
         # two anchored groups, split mod 2 by the shift of the second: one step
         fam_file = tmp_path / "six.jsonl"

@@ -3,13 +3,15 @@ import math
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from apfam.errors import CapacityError, DomainError
 from apfam.numtheory import (
+    FACTOR_LIMIT,
     Factorization,
     crt_pair,
     enumerate_smooth,
+    factor_table,
     factorize,
     l_scale,
     omega,
@@ -80,6 +82,109 @@ class TestFactorize:
     @given(st.integers(min_value=2, max_value=10**5))
     def test_against_sympy(self, n):
         assert dict(factorize(n).parts) == sympy.factorint(n)
+
+
+def table_parts(moduli):
+    """factor_table's factorizations, one part list per modulus, in
+    factorize's order; also checks the table's own layout."""
+    table = factor_table(moduli)
+    assert len(table.cofactor) == len(moduli)
+    index = table.index.tolist()
+    assert index == sorted(index)  # hits run member by member
+    parts = [[] for _ in moduli]
+    for i, p, e in zip(index, table.prime.tolist(), table.exponent.tolist()):
+        assert not parts[i] or parts[i][-1][0] < p  # a member's hits ascend
+        parts[i].append((p, e))
+    for i, c in enumerate(table.cofactor.tolist()):
+        if c > 1:
+            assert not parts[i] or parts[i][-1][0] < c
+            parts[i].append((c, 1))
+    return [tuple(sorted(pe, key=lambda pe: pe[0] ** pe[1])) for pe in parts]
+
+
+def oracle_parts(moduli):
+    return [factorize(n).parts for n in moduli]
+
+
+# primes around the square roots where trial division stops: 10**3, 10**6
+NEAR_ROOTS = (997, 1009, 999983, 1000003)
+# composites up to FACTOR_LIMIT whose factors straddle their own square root
+STRADDLING = (31 * 37, 997 * 1009, 999979 * 999983)
+
+
+class TestFactorTable:
+    def test_examples(self):
+        moduli = [60, 1, 2, 1024, 12, 72, 30030, 97 * 97, 97**3, 2 * 999983]
+        assert table_parts(moduli) == oracle_parts(moduli)
+
+    def test_empty_and_single(self):
+        table = factor_table([])
+        assert [a.size for a in table] == [0, 0, 0, 0]
+        for n in (1, 2, 4, 999983, FACTOR_LIMIT, 999983 * 999979):
+            assert table_parts([n]) == oracle_parts([n])
+
+    def test_squares_cubes_and_straddling_products(self):
+        moduli = [p * p for p in NEAR_ROOTS[:3]] + [p**3 for p in NEAR_ROOTS[:2]]
+        moduli += [p * q for p in NEAR_ROOTS for q in NEAR_ROOTS if p < q and p * q <= FACTOR_LIMIT]
+        moduli += [2 * p for p in NEAR_ROOTS] + list(STRADDLING)
+        assert table_parts(moduli) == oracle_parts(moduli)
+
+    def test_near_the_limit(self):
+        moduli = [FACTOR_LIMIT, FACTOR_LIMIT - 1, 999999000001, 2**39, 3**25, 999983 * 999979]
+        assert table_parts(moduli) == oracle_parts(moduli)
+        assert table_parts(moduli[::-1]) == oracle_parts(moduli[::-1])
+
+    def test_powers_of_two(self):
+        moduli = [2**k for k in range(40)]
+        assert table_parts(moduli) == oracle_parts(moduli)
+
+    def test_member_leaving_early_keeps_its_cofactor(self):
+        # 2 * 999983 leaves once p * p > 999983, long before the walk up to
+        # isqrt of its neighbour ends; its cofactor must survive that
+        table = factor_table([2 * 999983, 999979 * 999983])
+        assert table.cofactor.tolist() == [999983, 999983]
+        assert table_parts([2 * 999983, 999979 * 999983]) == [
+            ((2, 1), (999983, 1)),
+            ((999979, 1), (999983, 1)),
+        ]
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=10**6),
+                st.integers(min_value=1, max_value=FACTOR_LIMIT),
+                st.builds(
+                    lambda p, e: min(p**e, FACTOR_LIMIT),
+                    st.sampled_from((2, 3, 5, 7, 997, 1009)),
+                    st.integers(1, 6),
+                ),
+                st.builds(
+                    lambda p, q, k: min(p * q * k, FACTOR_LIMIT),
+                    st.sampled_from(NEAR_ROOTS),
+                    st.sampled_from(NEAR_ROOTS),
+                    st.integers(1, 12),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_against_factorize(self, moduli):
+        assert table_parts(moduli) == oracle_parts(moduli)
+
+    def test_errors_match_factorize(self):
+        for moduli, error in (
+            ([6, FACTOR_LIMIT + 1], CapacityError),
+            ([6, 0], DomainError),
+            ([10**13, 0], CapacityError),
+            ([0, 10**13], DomainError),
+            ([10**40], CapacityError),
+        ):
+            bad = next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT)
+            with pytest.raises(error) as expected:
+                factorize(bad)
+            with pytest.raises(error, match=str(expected.value)):
+                factor_table(moduli)
 
 
 class TestOmega:

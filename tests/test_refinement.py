@@ -1,17 +1,21 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apfam.construction import ConstructionParams, build_construction, assign_residue
-from apfam.errors import DomainError, FamilyFormatError, NotDisjointError
+from apfam.errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
 from apfam.family import Family, Progression, verify_family
-from apfam.numtheory import l_scale
+from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale
 from apfam.refinement import (
+    CertificateCheck,
     RefinementParams,
     build_chain,
     certificate_from_dict,
+    _eligible,
     certificate_to_dict,
     check_certificate,
     filter_eligible,
@@ -41,6 +45,37 @@ def six_member():
 
 
 RELAXED = dict(omega_cap=3.5, prime_floor=400, ratio_denominator=1.5)
+
+
+def eligible_per_member(family, params):
+    # filter_eligible's members and their primes, factoring one modulus at a time
+    primes_of = {}
+    for pr in family.items:
+        parts = factorize(pr.modulus).parts
+        if any(e > 1 for _, e in parts):
+            raise DomainError(f"modulus {pr.modulus} is not squarefree")
+        primes = sorted(p for p, _ in parts)
+        if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
+            primes_of[pr.modulus] = primes
+    return primes_of
+
+
+def stepped(x):
+    # six anchored groups in six classes mod 6, so no anchor divides half the
+    # family: the chain steps on 2 and 3 before an anchor stops it
+    anchors = (1009, 1013, 1019, 1021, 1031, 1033)
+    items = []
+    for s, anchor in enumerate(anchors):
+        for m in range(6, x // anchor + 1, 6):
+            parts = factorize(m).parts
+            if all(e == 1 for _, e in parts) and parts[-1][0] < anchors[0]:
+                pr = assign_residue(anchor * m, anchor)
+                items.append(Progression((pr.residue + s) % pr.modulus, pr.modulus))
+    return Family.build(items, x)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 101, 401, 409, 997, 1009, 999983)
+squarefree_moduli = st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=5).map(math.prod)
 
 
 class TestParams:
@@ -96,12 +131,48 @@ class TestFilterEligible:
         assert kept.size == 0
 
 
+class TestEligibleAgainstPerMember:
+    @settings(max_examples=100)
+    @given(
+        st.sets(squarefree_moduli.filter(lambda q: q <= FACTOR_LIMIT), max_size=30),
+        st.one_of(st.none(), st.integers(min_value=2, max_value=10**6)),
+        st.sampled_from((1.5, 2, 3, 3.5, 6)),
+        st.sampled_from((2, 10, 400, 1000.5)),
+    )
+    def test_members_primes_and_errors(self, moduli, extra, omega_cap, prime_floor):
+        # extra may be a modulus that is not squarefree
+        moduli = sorted(moduli | ({extra} if extra else set()))
+        f = Family.build([Progression(0, q) for q in moduli], max(moduli, default=16))
+        params = RefinementParams(x=16, omega_cap=omega_cap, prime_floor=prime_floor, ratio_denominator=2)
+        try:
+            expected = eligible_per_member(f, params)
+        except DomainError as err:
+            with pytest.raises(DomainError, match=str(err)):
+                filter_eligible(f, params)
+            return
+        kept, primes_of = _eligible(f, params)
+        assert kept.moduli() == list(expected)
+        assert primes_of == expected
+
+    def test_not_squarefree_before_oversized_fails_the_base(self):
+        # member order decides: the modulus 12 fails before 10**12 + 1 is reached
+        f = fam([(0, 12), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
+        with pytest.raises(DomainError, match="modulus 12 is not squarefree"):
+            filter_eligible(f, RefinementParams(x=16, **RELAXED))
+        cert = build_chain(six_member(), RefinementParams(x=4090, **RELAXED))
+        assert check_certificate(cert, f) == CertificateCheck(False, "base")
+
+    def test_oversized_first_raises_capacity(self):
+        f = fam([(0, 6), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
+        with pytest.raises(CapacityError):
+            filter_eligible(f, RefinementParams(x=16, **RELAXED))
+
+
 class TestRefineStep:
     def test_three_member_trace(self):
         f = three_member()
         assert verify_family(f).ok
-        params = RefinementParams(x=2406, **RELAXED)
-        step = refine_step(list(f.items), (), 0, params)
+        step = refine_step(list(f.items), (), 0)
         assert step.index == 1
         assert step.chosen_modulus == 802
         assert step.candidate_primes == (2, 401)
@@ -112,22 +183,19 @@ class TestRefineStep:
         assert step.combined_residue == step.residue_class
 
     def test_needs_two_members(self):
-        params = RefinementParams(x=2406, **RELAXED)
         with pytest.raises(DomainError):
-            refine_step([Progression(2, 802)], (), 0, params)
+            refine_step([Progression(2, 802)], (), 0)
 
     def test_rejects_unpinned_members(self):
-        params = RefinementParams(x=2406, **RELAXED)
         members = [Progression(2, 802), Progression(3, 1203)]
         with pytest.raises(DomainError):
-            refine_step(members, (5,), 0, params)
+            refine_step(members, (5,), 0)
 
     def test_covering_violation_reports_pair(self):
         # coprime moduli always intersect; the step must say so concretely
         members = [Progression(1, 802), Progression(1, 1227)]
-        params = RefinementParams(x=2406, **RELAXED)
         with pytest.raises(NotDisjointError) as err:
-            refine_step(members, (), 0, params)
+            refine_step(members, (), 0)
         assert err.value.common == 1
         assert {err.value.first.modulus, err.value.second.modulus} == {802, 1227}
 
@@ -297,9 +365,41 @@ class TestSerialization:
         with pytest.raises(FamilyFormatError):
             certificate_from_dict({"params": {}})
 
+    @pytest.mark.parametrize("field", ["candidate_primes", "survivors"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_integer_list_entries_checked(self, field, value):
+        data = certificate_to_dict(build_chain(six_member(), RefinementParams(x=4090, **RELAXED)))
+        data["steps"][0][field][-1] = value
+        with pytest.raises(FamilyFormatError, match=field):
+            certificate_from_dict(data)
+
     def test_json_tamper_detected(self, tmp_path):
         cert = build_chain(six_member(), RefinementParams(x=4090, **RELAXED))
         data = certificate_to_dict(cert)
         data["steps"][0]["residue_class"] = 1
         tampered = certificate_from_dict(json.loads(json.dumps(data)))
         assert not check_certificate(tampered, six_member()).ok
+
+    @pytest.mark.parametrize(
+        "family, params, digest",
+        [
+            (
+                lambda: stepped(3 * 10**6),
+                RefinementParams(x=3 * 10**6, omega_cap=6, prime_floor=1000, ratio_denominator=2),
+                "ee747fd66247c6140b8a43ed77b03312201086985383fdc38e695b772228f681",
+            ),
+            (
+                lambda: build_construction(ConstructionParams(x=10**8, squarefree_only=True)).family,
+                RefinementParams(x=10**8, omega_cap=4, prime_floor=150, ratio_denominator=3),
+                "8fd8b31ddb237f171880512b3be0bf548e968ffcaba5dc94ab1df00243955e6f",
+            ),
+        ],
+        ids=["stepped-3e6", "squarefree-1e8"],
+    )
+    def test_certificate_bytes_frozen(self, family, params, digest):
+        # digests of certificates built by factoring each member with factorize
+        family = family()
+        cert = build_chain(family, params)
+        assert check_certificate(cert, family).ok
+        text = json.dumps(certificate_to_dict(cert))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
