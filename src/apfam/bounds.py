@@ -37,7 +37,7 @@ def omega_tail_count(x: int, c: float) -> int:
     """
     if x < 1:
         raise DomainError(f"count needs x >= 1, got {x}")
-    if c <= 0:
+    if not c > 0:
         raise DomainError(f"threshold coefficient must be positive, got {c}")
     if x <= 2:
         return 0
@@ -88,7 +88,7 @@ def omega_tail_majorant(x: int, c: float) -> float:
     """
     if x < 16:
         raise DomainError(f"majorant needs x >= 16, got {x}")
-    if c <= 0:
+    if not c > 0:
         raise DomainError(f"threshold coefficient must be positive, got {c}")
     m = prime_power_reciprocal_sum(x)
     j = int(math.floor(omega_threshold(x, c))) + 1

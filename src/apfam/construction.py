@@ -30,8 +30,6 @@ class ConstructionParams:
     def __post_init__(self):
         if self.x < 16:
             raise DomainError(f"construction needs x >= 16, got {self.x}")
-        if self.c <= 0:
-            raise DomainError(f"scale coefficient must be positive, got {self.c}")
         if l_scale(self.c, self.x) < 2:
             raise DomainError(
                 f"L({self.c}, {self.x}) < 2 leaves no prime to anchor on"

@@ -199,28 +199,20 @@ def crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
     return (a1 + m1 * t) % lcm, lcm
 
 
-@dataclass(frozen=True)
-class LScale:
-    """Sub-exponential scale exp(c * sqrt(log x * log log x))."""
-
-    c: float
-    x: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError(f"scale coefficient must be positive, got {self.c}")
-        if self.x < 16:
-            raise DomainError(f"scale needs x >= 16, got {self.x}")
-
-    @property
-    def value(self) -> float:
-        lx = math.log(self.x)
-        return math.exp(self.c * math.sqrt(lx * math.log(lx)))
-
-
 def l_scale(c: float, x: float) -> float:
-    """exp(c * sqrt(log x * log log x)) for x >= 16, c > 0."""
-    return LScale(c, x).value
+    """exp(c * sqrt(log x * log log x)) for x >= 16 and finite c > 0.
+
+    Raises CapacityError when the value lies past float range.
+    """
+    if not 0 < c < math.inf:
+        raise DomainError(f"scale coefficient must be positive and finite, got {c}")
+    if not x >= 16:
+        raise DomainError(f"scale needs x >= 16, got {x}")
+    lx = math.log(x)
+    try:
+        return math.exp(c * math.sqrt(lx * math.log(lx)))
+    except OverflowError as exc:
+        raise CapacityError(f"L({c}, {x}) exceeds the float range") from exc
 
 
 def _bound_primes(y: float) -> tuple[int, ...]:

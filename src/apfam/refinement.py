@@ -15,7 +15,9 @@ records every choice so a checker can replay the run independently.
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress
 from typing import Sequence
 
@@ -109,38 +111,39 @@ def _squarefree_table(moduli: list[int]) -> FactorTable:
     return table
 
 
-def _prime_lists(table: FactorTable, moduli: list[int], keep: np.ndarray) -> dict[int, list[int]]:
-    # the ascending primes of each kept modulus; nothing is listed for the rest
+def _prime_map(
+    moduli: list[int], params: RefinementParams | None = None
+) -> tuple[list[bool], dict[int, list[int]]]:
+    # which moduli are kept, and the ascending primes of each one kept, from
+    # one factor table; with params, filter_eligible's test keeps a modulus
+    # (omega below omega_cap and a prime above prime_floor), else every one
+    # is kept.  A modulus is squarefree, so p divides it exactly when p is
+    # in its list.
+    table = _squarefree_table(moduli)
+    keep = np.ones(len(moduli), dtype=bool)
+    if params is not None:
+        omega = np.bincount(table.index, minlength=keep.size) + (table.cofactor > 1)
+        large = table.cofactor > params.prime_floor
+        large[table.index[table.prime > params.prime_floor]] = True
+        keep = (omega < params.omega_cap) & large
     hit = keep[table.index]
     primes = table.prime[hit].tolist()
     counts = np.bincount(table.index[hit], minlength=keep.size)[keep].tolist()
     cofactors = table.cofactor[keep].tolist()
+    keep = keep.tolist()
     lists, start = {}, 0
-    for q, count, cofactor in zip(compress(moduli, keep.tolist()), counts, cofactors):
+    for q, count, cofactor in zip(compress(moduli, keep), counts, cofactors):
         # built at their final length: a list grown by append over-allocates
         below = primes[start : start + count]
         lists[q] = below + [cofactor] if cofactor > 1 else below
         start += count
-    return lists
-
-
-def _keep_mask(table: FactorTable, params: RefinementParams) -> np.ndarray:
-    # filter_eligible's test on every member: omega below omega_cap and a
-    # prime above prime_floor
-    omega = np.bincount(table.index, minlength=table.cofactor.size) + (table.cofactor > 1)
-    large = table.cofactor > params.prime_floor
-    large[table.index[table.prime > params.prime_floor]] = True
-    return (omega < params.omega_cap) & large
+    return keep, lists
 
 
 def _eligible(family: Family, params: RefinementParams) -> tuple[Family, dict[int, list[int]]]:
-    # filter_eligible's family, and the primes of each member kept, from one
-    # factor table of the whole family
-    moduli = family.moduli()
-    table = _squarefree_table(moduli)
-    keep = _keep_mask(table, params)
-    kept = tuple(compress(family.items, keep.tolist()))
-    return Family(items=kept, x_bound=family.x_bound), _prime_lists(table, moduli, keep)
+    # filter_eligible's family, and the primes of each member kept
+    keep, primes_of = _prime_map(family.moduli(), params)
+    return Family(items=tuple(compress(family.items, keep)), x_bound=family.x_bound), primes_of
 
 
 def filter_eligible(family: Family, params: RefinementParams) -> Family:
@@ -151,10 +154,30 @@ def filter_eligible(family: Family, params: RefinementParams) -> Family:
     return _eligible(family, params)[0]
 
 
-def _covering_violation(chosen: Progression, other: Progression) -> NotDisjointError:
-    # both members agree modulo every prime of gcd, hence intersect
-    merged = crt_pair(chosen.residue, chosen.modulus, other.residue, other.modulus)
-    return NotDisjointError(chosen, other, merged[0])
+def _candidates(chosen: int, used, primes_of: dict[int, list[int]]) -> tuple[int, ...]:
+    # the primes of the chosen modulus that no earlier step fixed
+    return tuple(p for p in primes_of[chosen] if p not in used)
+
+
+def _first_uncovered(members, chosen: int, candidates, primes_of: dict[int, list[int]]):
+    # the first member besides the chosen one divisible by no candidate prime
+    candidates = set(candidates)
+    uncovered = (pr for pr in members if candidates.isdisjoint(primes_of[pr.modulus]))
+    return next((pr for pr in uncovered if pr.modulus != chosen), None)
+
+
+def _prime_counts(members, primes_of: dict[int, list[int]]) -> Counter:
+    # how many members each prime divides
+    return Counter(chain.from_iterable(primes_of[pr.modulus] for pr in members))
+
+
+def _divisible(members, p: int, primes_of: dict[int, list[int]]) -> list[Progression]:
+    return [pr for pr in members if p in primes_of[pr.modulus]]
+
+
+def _in_class(members, p: int, b: int, primes_of: dict[int, list[int]]) -> list[Progression]:
+    # the members divisible by p and congruent to b mod p, in input order
+    return [pr for pr in _divisible(members, p, primes_of) if pr.residue % p == b]
 
 
 def refine_step(
@@ -169,15 +192,6 @@ def refine_step(
     concrete intersecting pair when some member shares no new prime with the
     chosen one, which is impossible for a disjoint input.
     """
-    return _refine_step(members, used_primes, combined_residue)
-
-
-def _refine_step(
-    members: Sequence[Progression],
-    used_primes: tuple[int, ...],
-    combined_residue: int,
-    primes_of: dict[int, list[int]] | None = None,
-) -> RefinementStep:
     if len(members) < 2:
         raise DomainError("refinement step needs at least two members")
     product = math.prod(used_primes)
@@ -186,31 +200,33 @@ def _refine_step(
             raise DomainError(
                 f"member {pr} is not pinned to {combined_residue} mod {product}"
             )
-    if primes_of is None:
-        moduli = [pr.modulus for pr in members]
-        primes_of = _prime_lists(
-            _squarefree_table(moduli), moduli, np.ones(len(moduli), dtype=bool)
-        )
+    primes_of = _prime_map([pr.modulus for pr in members])[1]
+    return _refine_step(members, used_primes, combined_residue, primes_of)
 
-    new_primes = {
-        pr.modulus: [p for p in primes_of[pr.modulus] if p not in used_primes]
-        for pr in members
-    }
-    chosen = min(members, key=lambda pr: (len(new_primes[pr.modulus]), pr.modulus))
-    candidates = tuple(new_primes[chosen.modulus])
-    for pr in members:
-        if pr is not chosen and not any(pr.modulus % e == 0 for e in candidates):
-            raise _covering_violation(chosen, pr)
 
-    counts = {e: sum(1 for pr in members if pr.modulus % e == 0) for e in candidates}
+def _refine_step(
+    members: Sequence[Progression],
+    used_primes: tuple[int, ...],
+    combined_residue: int,
+    primes_of: dict[int, list[int]],
+) -> RefinementStep:
+    # at least two members, pinned to combined_residue mod the used primes;
+    # each is divisible by every used prime, so the fewest primes leave the
+    # fewest candidates
+    chosen = min(members, key=lambda pr: (len(primes_of[pr.modulus]), pr.modulus))
+    candidates = _candidates(chosen.modulus, used_primes, primes_of)
+    other = _first_uncovered(members, chosen.modulus, candidates, primes_of)
+    if other is not None:
+        # both members agree modulo every prime of the gcd, hence intersect
+        merged = crt_pair(chosen.residue, chosen.modulus, other.residue, other.modulus)
+        raise NotDisjointError(chosen, other, merged[0])
+
+    counts = _prime_counts(members, primes_of)
     prime = min(candidates, key=lambda e: (-counts[e], e))
-    in_class: dict[int, list[Progression]] = {}
-    for pr in members:
-        if pr.modulus % prime == 0:
-            in_class.setdefault(pr.residue % prime, []).append(pr)
-    residue_class = min(in_class, key=lambda b: (-len(in_class[b]), b))
-    survivors = sorted(in_class[residue_class], key=lambda pr: pr.modulus)
-    merged = crt_pair(combined_residue, product, residue_class, prime)
+    sizes = Counter(pr.residue % prime for pr in _divisible(members, prime, primes_of))
+    residue_class = min(sizes, key=lambda b: (-sizes[b], b))
+    survivors = _in_class(members, prime, residue_class, primes_of)
+    merged = crt_pair(combined_residue, math.prod(used_primes), residue_class, prime)
     return RefinementStep(
         index=len(used_primes) + 1,
         chosen_modulus=chosen.modulus,
@@ -218,7 +234,7 @@ def _refine_step(
         prime=prime,
         residue_class=residue_class,
         combined_residue=merged[0],
-        survivors=tuple(pr.modulus for pr in survivors),
+        survivors=tuple(sorted(pr.modulus for pr in survivors)),
     )
 
 
@@ -230,15 +246,10 @@ def _stop_witness(
 ) -> tuple[int, int] | None:
     # the stopping rule: an unused prime above prime_floor dividing at least
     # |members| / ratio_denominator of the members
-    counts: dict[int, int] = {}
-    for pr in members:
-        for p in primes_of[pr.modulus]:
-            if p >= params.prime_floor and p not in used:
-                counts[p] = counts.get(p, 0) + 1
-    if not counts:
-        return None
-    prime = min(counts, key=lambda p: (-counts[p], p))
-    if counts[prime] * params.ratio_denominator >= len(members):
+    counts = _prime_counts(members, primes_of)
+    eligible = [p for p in counts if p >= params.prime_floor and p not in used]
+    prime = min(eligible, key=lambda p: (-counts[p], p), default=None)
+    if prime is not None and counts[prime] * params.ratio_denominator >= len(members):
         return prime, counts[prime]
     return None
 
@@ -259,41 +270,32 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     steps: list[RefinementStep] = []
     used: tuple[int, ...] = ()
     combined = 0
-    by_modulus = {pr.modulus: pr for pr in members}
     while True:
         hit = _stop_witness(members, used, params, primes_of)
         if hit is not None:
-            return RefinementCertificate(
-                params=params,
-                base=base.items,
-                steps=tuple(steps),
-                t=len(steps),
-                witness_prime=hit[0],
-                divisible_count=hit[1],
-            )
+            # hit is the witness prime and its divisible count
+            return RefinementCertificate(params, base.items, tuple(steps), len(steps), *hit)
         if len(members) < 2:
             raise DomainError(
                 "refinement stalled on one member with no qualifying prime; "
                 "requires ratio_denominator >= omega_cap to be guaranteed"
             )
         step = _refine_step(members, used, combined, primes_of)
-        members = [by_modulus[q] for q in step.survivors]
+        members = _in_class(members, step.prime, step.residue_class, primes_of)
         used = used + (step.prime,)
         combined = step.combined_residue
         steps.append(step)
-        # every survivor is divisible by all used primes, so the step count
-        # stays below the omega of any member; this cap is unreachable
-        if len(steps) > 200:
-            raise AssertionError("refinement failed to terminate")
 
 
 def check_certificate(cert: RefinementCertificate, family: Family) -> CertificateCheck:
     """Independently replay a certificate against the family it refines.
 
-    Returns ok=False with a reason code on the first property that fails:
-    base, structure, candidates, covering, survivors, Property 1..4, or
-    size bound.  strict_property3 reports whether every per-step survivor
-    bound held strictly rather than with equality.
+    Divisibility is read from the factorizations of the base moduli, so the
+    witness must be a prime of the final survivors.  Returns ok=False with a
+    reason code on the first property that fails: base, structure,
+    candidates, covering, survivors, Property 2..4, or size bound.
+    strict_property3 reports whether every per-step survivor bound held
+    strictly rather than with equality.
     """
     params = cert.params
     ratio = params.ratio_denominator
@@ -310,66 +312,50 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
             return CertificateCheck(False, "structure")
         return CertificateCheck(True)
 
-    residue_of = {pr.modulus: pr.residue for pr in cert.base}
-    current = [pr.modulus for pr in cert.base]
+    # each step's survivors are members of the previous set in one class
+    # mod a new prime, so checking combined_residue against the previous
+    # residue and the class pins every survivor modulo the new product
+    current = cert.base
     used: list[int] = []
     product = 1
     combined = 0
     strict = True
     for k, step in enumerate(cert.steps, start=1):
-        if step.index != k or step.chosen_modulus not in current:
+        if step.index != k or step.chosen_modulus not in {pr.modulus for pr in current}:
             return CertificateCheck(False, "structure")
-        expected_candidates = tuple(
-            p for p in primes_of[step.chosen_modulus] if p not in used
-        )
-        if step.candidate_primes != expected_candidates:
+        candidates = _candidates(step.chosen_modulus, used, primes_of)
+        if step.candidate_primes != candidates or step.prime not in candidates:
             return CertificateCheck(False, "candidates")
-        if step.prime not in step.candidate_primes:
-            return CertificateCheck(False, "candidates")
-        for q in current:
-            if not any(q % e == 0 for e in step.candidate_primes):
-                return CertificateCheck(False, "covering")
-        expected_survivors = tuple(
-            q
-            for q in current
-            if q % step.prime == 0
-            and residue_of[q] % step.prime == step.residue_class
-        )
-        if step.survivors != expected_survivors:
+        if _first_uncovered(current, step.chosen_modulus, candidates, primes_of) is not None:
+            return CertificateCheck(False, "covering")
+        survivors = _in_class(current, step.prime, step.residue_class, primes_of)
+        if step.survivors != tuple(pr.modulus for pr in survivors):
             return CertificateCheck(False, "survivors")
         new_product = product * step.prime
-        for q in step.survivors:
-            if q % new_product:
-                return CertificateCheck(False, "Property 1")
         if (
             step.combined_residue % product != combined
             or step.combined_residue % step.prime != step.residue_class
             or not 0 <= step.combined_residue < new_product
         ):
             return CertificateCheck(False, "Property 2")
-        for q in step.survivors:
-            if residue_of[q] % new_product != step.combined_residue:
-                return CertificateCheck(False, "Property 2")
         kept = len(step.survivors) * step.prime * ratio
         if kept < len(current):
             return CertificateCheck(False, "Property 3")
         if kept == len(current):
             strict = False
-        current = list(step.survivors)
+        current = survivors
         used.append(step.prime)
         product = new_product
         combined = step.combined_residue
 
-    if cert.witness_prime is None:
+    # a missing witness divides no survivor, so the first test rejects it
+    count = len(_divisible(current, cert.witness_prime, primes_of))
+    if count != cert.divisible_count or count * ratio < len(current):
         return CertificateCheck(False, "Property 4", strict)
     if cert.witness_prime in used or cert.witness_prime < params.prime_floor:
         return CertificateCheck(False, "Property 4", strict)
-    count = sum(1 for q in current if q % cert.witness_prime == 0)
-    if count != cert.divisible_count:
-        return CertificateCheck(False, "Property 4", strict)
-    if count * ratio < len(current):
-        return CertificateCheck(False, "Property 4", strict)
-    if count * product * ratio ** (len(cert.steps) + 1) < len(cert.base):
+    # exact: a finite ratio raised to the power t + 1 can pass float range
+    if count * product * Fraction(ratio) ** (len(cert.steps) + 1) < len(cert.base):
         return CertificateCheck(False, "size bound", strict)
     return CertificateCheck(True, None, strict)
 

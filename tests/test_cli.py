@@ -344,6 +344,18 @@ class TestRefineAndCheck:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_large_finite_ratio_checks_ok(self, tmp_path, capsys):
+        # the size bound's ratio ** (t + 1) is past float range here
+        code, fam_file, cert_file = self.six_member_cert(tmp_path, capsys)
+        data = json.loads(cert_file.read_text())
+        assert code == 0 and data["t"] == 1
+        data["params"]["ratio_denominator"] = 1e200
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)])
+        out, err = capsys.readouterr()
+        assert code == 0 and last_json(out)["ok"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("ratio_denom", ["nan", "inf"])
     def test_non_finite_refine_option_exit_2(self, tmp_path, capsys, ratio_denom):
         _, fam_file, _ = self.six_member_cert(tmp_path, capsys)
@@ -400,6 +412,25 @@ class TestCounts:
     def test_domain_exit_2(self, capsys):
         code, _ = run(capsys, "counts", "--kind", "psi", "--x", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["construct", "--out", "unused.jsonl"],
+            ["counts", "--kind", "psi"],
+            ["counts", "--kind", "psistar"],
+            ["counts", "--kind", "f-lower"],
+            ["counts", "--kind", "omega-tail"],
+        ],
+        ids=["construct", "psi", "psistar", "f-lower", "omega-tail"],
+    )
+    def test_bad_scale_coefficient_exit_2(self, tmp_path, capsys, monkeypatch, command, c):
+        monkeypatch.chdir(tmp_path)
+        code = main([*command, "--x", "1000", "--c", c])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestReduce:

@@ -269,6 +269,11 @@ class TestLScale:
             l_scale(0, 100)
         with pytest.raises(DomainError):
             l_scale(-1, 100)
+        for c in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                l_scale(c, 100)
+        with pytest.raises(CapacityError):
+            l_scale(1e300, 100)
 
 
 def _smooth_oracle(x, y, power_cap):

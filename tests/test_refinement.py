@@ -1,17 +1,23 @@
+import contextlib
+import copy
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from apfam.cli import main
 from apfam.construction import ConstructionParams, build_construction, assign_residue
 from apfam.errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
-from apfam.family import Family, Progression, verify_family
-from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale
+from apfam.family import Family, Progression, verify_family, write_family
+from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale, sieve_primes
 from apfam.refinement import (
     CertificateCheck,
+    RefinementCertificate,
     RefinementParams,
     build_chain,
     certificate_from_dict,
@@ -72,6 +78,15 @@ def stepped(x):
                 pr = assign_residue(anchor * m, anchor)
                 items.append(Progression((pr.residue + s) % pr.modulus, pr.modulus))
     return Family.build(items, x)
+
+
+STEPPED_PARAMS = RefinementParams(x=3 * 10**6, omega_cap=6, prime_floor=1000, ratio_denominator=2)
+
+
+@functools.lru_cache(maxsize=1)
+def stepped_chain():
+    family = stepped(3 * 10**6)
+    return family, build_chain(family, STEPPED_PARAMS)
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 101, 401, 409, 997, 1009, 999983)
@@ -343,6 +358,30 @@ class TestCheckCertificate:
         bad = dataclasses.replace(cert, witness_prime=None)
         assert check_certificate(bad, six_member()).reason == "Property 4"
 
+    def test_composite_witness_rejected(self, tmp_path, capsys):
+        # 1517 = 37 * 41 lies above the floor and divides all ten members, but
+        # it is no prime of theirs: the stopping rule counts only primes
+        primes = [p for p in sieve_primes(1100) if p > 1000][:10]
+        family = fam([(i, 6 * 1517 * p) for i, p in enumerate(primes)], 6 * 1517 * primes[-1])
+        assert verify_family(family).ok
+        params = RefinementParams(x=family.x_bound, omega_cap=6, prime_floor=1000, ratio_denominator=2)
+        forged = RefinementCertificate(params, family.items, (), 0, 1517, 10)
+        assert check_certificate(forged, family) == CertificateCheck(False, "Property 4")
+        fam_file, cert_file = tmp_path / "fam.jsonl", tmp_path / "forged.json"
+        write_family(family, fam_file)
+        write_certificate(forged, cert_file)
+        assert main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)]) == 1
+        assert json.loads(capsys.readouterr().out)["reason"] == "Property 4"
+
+    def test_composite_witness_of_a_used_prime_rejected(self):
+        # 2018 = 2 * 1009 divides the same 149 survivors as the genuine
+        # witness 1009, since the chain has fixed 2
+        family, cert = stepped_chain()
+        assert (cert.witness_prime, cert.divisible_count) == (1009, 149)
+        assert 2 in (step.prime for step in cert.steps)
+        bad = dataclasses.replace(cert, witness_prime=2018)
+        assert check_certificate(bad, family).reason == "Property 4"
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -403,3 +442,95 @@ class TestSerialization:
         assert check_certificate(cert, family).ok
         text = json.dumps(certificate_to_dict(cert))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+CHECK_REASONS = {
+    "base", "structure", "candidates", "covering", "survivors",
+    "Property 2", "Property 3", "Property 4", "size bound",
+}
+INT_EDITS = (0, -1, 2**70, True, "7", 1.5, None)
+PARAM_EDITS = (1e-300, 1e300, math.nan, math.inf)
+LIST_EDITS = {
+    "emptied": lambda value: [],
+    "reversed": lambda value: value[::-1],
+    "extended": lambda value: value + value[:1],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def genuine(name):
+    # a family and its genuine certificate as JSON data
+    if name == "six":
+        family = six_member()
+        return family, certificate_to_dict(build_chain(family, RefinementParams(x=4090, **RELAXED)))
+    family, cert = stepped_chain()
+    return family, certificate_to_dict(cert)
+
+
+def fields(data):
+    # paths to the integer fields and the lists of a certificate's JSON data,
+    # params aside; a list longer than three contributes its first and last entries
+    ints, lists = [], []
+
+    def walk(value, path):
+        if isinstance(value, list):
+            lists.append(path)
+            for i in sorted({0, len(value) - 1} if len(value) > 3 else range(len(value))):
+                walk(value[i], path + (i,))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, path + (key,))
+        elif isinstance(value, int):
+            ints.append(path)
+
+    walk({key: value for key, value in data.items() if key != "params"}, ())
+    return ints, lists
+
+
+@st.composite
+def one_field_edit(draw):
+    name = draw(st.sampled_from(("six", "stepped")))
+    data = genuine(name)[1]
+    ints, lists = fields(data)
+    kind = draw(st.sampled_from(("int", "list", "params")))
+    if kind == "params":
+        return name, ("params", draw(st.sampled_from(sorted(data["params"])))), draw(st.sampled_from(PARAM_EDITS))
+    if kind == "int":
+        return name, draw(st.sampled_from(ints)), draw(st.sampled_from(INT_EDITS))
+    return name, draw(st.sampled_from(lists)), draw(st.sampled_from(sorted(LIST_EDITS)))
+
+
+class TestCheckCertExitCodes:
+    @pytest.fixture(scope="class")
+    def family_files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("check-cert")
+        files = {}
+        for name in ("six", "stepped"):
+            files[name] = folder / f"{name}.jsonl"
+            write_family(genuine(name)[0], files[name])
+        return files
+
+    @pytest.mark.filterwarnings("ignore:residue")
+    @settings(max_examples=150, deadline=None)
+    @given(one_field_edit())
+    @example(("six", ("params", "ratio_denominator"), 1e300))
+    def test_one_field_edit(self, family_files, edit):
+        # any one-field edit exits 0, 1 with a documented reason, or 2, and
+        # never with a traceback
+        name, path, value = edit
+        data = copy.deepcopy(genuine(name)[1])
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if value in LIST_EDITS:
+            value = LIST_EDITS[value](target[path[-1]])
+        target[path[-1]] = value
+        cert_file = family_files[name].with_suffix(".cert.json")
+        cert_file.write_text(json.dumps(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-cert", "--cert", str(cert_file), "--in", str(family_files[name])])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert json.loads(out.getvalue())["reason"] in CHECK_REASONS
