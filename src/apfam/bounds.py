@@ -127,13 +127,17 @@ def _squarefull_parts(family: Family) -> np.ndarray:
     return alpha
 
 
-def choose_alpha(family: Family) -> int:
-    """The squarefull part shared by the most members; ties pick the smallest."""
-    if not family.items:
+def _most_common(parts: np.ndarray) -> int:
+    if parts.size == 0:
         return 1
     # unique sorts ascending and argmax takes the first maximum
-    values, counts = np.unique(_squarefull_parts(family), return_counts=True)
+    values, counts = np.unique(parts, return_counts=True)
     return int(values[np.argmax(counts)])
+
+
+def choose_alpha(family: Family) -> int:
+    """The squarefull part shared by the most members; ties pick the smallest."""
+    return _most_common(_squarefull_parts(family))
 
 
 def squarefull_reduce(family: Family, alpha: int) -> Family:
@@ -146,8 +150,19 @@ def squarefull_reduce(family: Family, alpha: int) -> Family:
     """
     if alpha < 1:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    parts = _squarefull_parts(family).tolist()
-    selected = [pr for pr, part in zip(family.items, parts) if part == alpha]
+    return _reduce_by_parts(family, alpha, _squarefull_parts(family))
+
+
+def _choose_and_reduce(family: Family) -> tuple[int, Family]:
+    """choose_alpha's alpha and squarefull_reduce's family, from one factor
+    table of the members."""
+    parts = _squarefull_parts(family)
+    alpha = _most_common(parts)
+    return alpha, _reduce_by_parts(family, alpha, parts)
+
+
+def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
+    selected = [pr for pr, part in zip(family.items, parts.tolist()) if part == alpha]
     reduced_bound = max(2, family.x_bound // alpha)
     if not selected:
         return Family(items=(), x_bound=reduced_bound)

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import bounds_report, choose_alpha, rows_to_csv, squarefull_reduce
+from .bounds import _choose_and_reduce, bounds_report, rows_to_csv, squarefull_reduce
 from .construction import (
     ConstructionParams,
     build_construction,
@@ -200,8 +200,11 @@ def cmd_counts(args) -> int:
 def cmd_reduce(args) -> int:
     started = time.perf_counter()
     family = read_family(args.infile)
-    alpha = args.alpha if args.alpha is not None else choose_alpha(family)
-    reduced = squarefull_reduce(family, alpha)
+    if args.alpha is None:
+        alpha, reduced = _choose_and_reduce(family)
+    else:
+        alpha = args.alpha
+        reduced = squarefull_reduce(family, alpha)
     write_family(reduced, args.out)
     _write_manifest(args.out, "reduce", {"alpha": alpha}, [args.infile], started)
     _emit({"alpha": alpha, "count": reduced.size, "out": args.out})

@@ -42,46 +42,68 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int, visit) -> None:
-    """Call visit(q, powers) for every member q = p*m <= x, unsorted.
+def _walk(params: ConstructionParams, p: int, visit, pinned: bool = True) -> None:
+    """Call visit(q, residue) for every member q = p*m <= x, unsorted.
 
-    powers is the recursion's stack of m's prime powers, all below p, in the
-    order they were multiplied in; visit must copy what it keeps.
+    m multiplies prime powers below p (primes only when squarefree_only) in
+    ascending value: each step takes a power after the last one taken whose
+    prime m lacks.  m's prime powers sorted by value are one increasing
+    sequence, so every m is reached exactly once, and the list being sorted
+    lets the step stop at the first power that overshoots x // p.
+
+    The step's power is thus the largest of m's so far, the top of its
+    chain, and the chain's CRT is carried down with m: res is the residue
+    mod m pinned to 0 at the smallest power and at each power to the next
+    one down; t starts at 0, which pins the first power to 0 and the bare
+    anchor p to residue 0.  Taking c above the top t gives res' = res
+    (mod m) and res' = t (mod c), and the member's residue is res (mod m)
+    and t (mod p).  Each is one step res + m*((t - res) * inv(m) mod n)
+    with n = c or p, which is coprime to m; inv(m) mod p is carried as a
+    product of the powers' inverses.  pinned=False skips the last step and
+    hands visit None, so p need not be prime when only the moduli are
+    wanted.
     """
     bound = params.x // p
     if bound < 1:
         return
-    small = [r for r in sieve_primes(max(2, p)) if r < p]
-    powers = []
+    table = []  # (value, prime, value's inverse mod p)
+    for r in sieve_primes(max(2, p)):
+        if r >= p:
+            break
+        c = r
+        while c < p:
+            table.append((c, r, pow(c, -1, p) if pinned else 0))
+            if params.squarefree_only:
+                break
+            c *= r
+    table.sort()
+    n = len(table)
+    include_p = params.include_p_itself
     count = 0
 
-    def rec(i, m):
+    def rec(i, m, res, top, inv):
         nonlocal count
-        if m > 1 or params.include_p_itself:
-            visit(p * m, powers)
+        if m > 1 or include_p:
+            visit(p * m, res + m * ((top - res) * inv % p) if pinned else None)
         count += 1
         if count > MODULI_LIMIT:
             raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
-        for j in range(i, len(small)):
-            r = small[j]
-            if m * r > bound:
+        for j in range(i, n):
+            c, r, c_inv = table[j]
+            mc = m * c
+            if mc > bound:
                 break
-            ra = r
-            while ra < p and m * ra <= bound:
-                powers.append(ra)
-                rec(j + 1, m * ra)
-                powers.pop()
-                if params.squarefree_only:
-                    break
-                ra *= r
+            if m % r:
+                step = res + m * ((top - res) * pow(m, -1, c) % c)
+                rec(j + 1, mc, step, c, inv * c_inv % p)
 
-    rec(0, 1)
+    rec(0, 1, 0, 0, 1)
 
 
 def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
     """Ascending q = p*m <= x with every prime-power factor of m below p."""
     moduli = []
-    _walk(params, p, lambda q, powers: moduli.append(q))
+    _walk(params, p, lambda q, residue: moduli.append(q), pinned=False)
     return sorted(moduli)
 
 
@@ -134,11 +156,7 @@ def build_construction(params: ConstructionParams) -> ConstructionResult:
     """The full family at x: pairwise disjoint with distinct moduli <= x."""
     p = choose_prime(params)
     items = []
-
-    def add(q, powers):
-        items.append(Progression(_chain_residue(sorted(powers), p), q))
-
-    _walk(params, p, add)
+    _walk(params, p, lambda q, residue: items.append(Progression(residue, q)))
     family = Family.build(items, params.x)
     predicted = params.x / (p * l_scale(1 / (2 * params.c), params.x))
     return ConstructionResult(family=family, p=p, predicted_size=predicted)
@@ -156,12 +174,8 @@ def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
         params = ConstructionParams(x=x, c=c)
         p = choose_prime(params)
         members = []
-        _walk(params, p, lambda q, powers: members.append((q, tuple(powers))))
+        _walk(params, p, lambda q, residue: members.append((q, residue)))
         if len(members) >= k:
             members.sort()
-            items = [
-                Progression(_chain_residue(sorted(powers), p), q)
-                for q, powers in members[:k]
-            ]
-            return Family.build(items, x)
+            return Family.build((Progression(a, q) for q, a in members[:k]), x)
     raise CapacityError(f"no supported x yields {k} moduli")

@@ -15,13 +15,13 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FamilyFormatError, NotDisjointError, StructuralError
+from .errors import FamilyFormatError, StructuralError
 from .numtheory import crt_pair, sieve_primes
 
 NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
@@ -67,8 +67,6 @@ class Family:
 
     items: tuple[Progression, ...]
     x_bound: int
-    verified: bool = False
-    certificate: str | None = None
 
     def __post_init__(self):
         if self.x_bound < 2:
@@ -105,11 +103,7 @@ def density(family: Family) -> Fraction:
 
 
 def translate(family: Family, shift: int) -> Family:
-    """Shift every progression by the same constant; disjointness is unaffected.
-
-    The result drops any verified flag: it is a different object and callers
-    re-verify if they need the certificate.
-    """
+    """Shift every progression by the same constant; disjointness is unaffected."""
     items = tuple(
         Progression((pr.residue + shift) % pr.modulus, pr.modulus)
         for pr in family.items
@@ -306,15 +300,6 @@ def verify_family(family: Family) -> VerificationReport:
         items[i].residue, items[i].modulus, items[j].residue, items[j].modulus
     )
     return VerificationReport(False, Witness(i, j, merged[0]), pair_count, None)
-
-
-def certify(family: Family) -> Family:
-    """Return a copy marked verified, or raise NotDisjointError with the pair."""
-    report = verify_family(family)
-    if not report.ok:
-        w = report.witness
-        raise NotDisjointError(family.items[w.i], family.items[w.j], w.common)
-    return replace(family, verified=True, certificate=report.digest)
 
 
 def _lines(family: Family) -> Iterable[str]:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from apfam import bounds
 from apfam.cli import build_parser, main
-from apfam.construction import assign_residue
+from apfam.construction import ConstructionParams, assign_residue, build_construction
 from apfam.family import (
     Family,
     Progression,
@@ -457,6 +459,25 @@ class TestReduce:
             capsys, "reduce", "--in", str(src), "--alpha", "4", "--out", str(out_file)
         )
         assert code == 0 and last_json(out)["count"] == 1
+
+    def test_chosen_alpha_factors_once(self, tmp_path, capsys, monkeypatch):
+        # the members of the x=10^5 construction that 4 divides; the output
+        # bytes and summary are frozen from the two-pass reduce
+        monkeypatch.chdir(tmp_path)
+        full = build_construction(ConstructionParams(x=10**5)).family
+        write_family(
+            Family(tuple(pr for pr in full.items if pr.modulus % 4 == 0), full.x_bound),
+            "f4.jsonl",
+        )
+        calls = []
+        real = bounds.factor_table
+        monkeypatch.setattr(bounds, "factor_table", lambda moduli: calls.append(1) or real(moduli))
+        code, out = run(capsys, "reduce", "--in", "f4.jsonl", "--out", "r4.jsonl")
+        assert code == 0 and len(calls) == 1
+        assert out.splitlines()[-1] == '{"alpha": 4, "count": 51, "out": "r4.jsonl"}'
+        assert hashlib.sha256((tmp_path / "r4.jsonl").read_bytes()).hexdigest() == (
+            "35abfa3dae9f473fc799906d0df26f590a8a452a55c3e8faf35fb19cb8131f46"
+        )
 
 
 class TestBench:

@@ -2,7 +2,9 @@ import math
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+from apfam import construction
 from apfam.construction import (
     DEFAULT_C,
     ConstructionParams,
@@ -12,8 +14,8 @@ from apfam.construction import (
     enumerate_moduli,
     truncated_construction,
 )
-from apfam.errors import DomainError
-from apfam.family import density, dumps_family, verify_family
+from apfam.errors import CapacityError, DomainError
+from apfam.family import Family, density, dumps_family, family_digest, verify_family
 from apfam.numtheory import l_scale
 
 X100 = [(0, 5), (2, 10), (3, 15), (4, 20), (8, 30), (39, 60)]
@@ -85,6 +87,28 @@ class TestEnumerateModuli:
         params = ConstructionParams(x=10**6)
         assert len(enumerate_moduli(params, 67)) == 2961
 
+    def test_composite_anchor(self):
+        # the moduli need no residue, so any anchor walks; 10 is not prime
+        got = enumerate_moduli(ConstructionParams(x=300), 10)
+        assert got == [10 * m for m in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30)]
+
+    @pytest.mark.parametrize("squarefree", [False, True])
+    @pytest.mark.parametrize("include_p", [False, True])
+    def test_capacity_fires_past_the_limit(self, monkeypatch, squarefree, include_p):
+        # the limit counts every m the walk reaches, m = 1 included
+        params = ConstructionParams(x=10**5, squarefree_only=squarefree, include_p_itself=include_p)
+        p = choose_prime(params)
+        nodes = len(enumerate_moduli(params, p)) + (not include_p)
+        monkeypatch.setattr(construction, "MODULI_LIMIT", nodes)
+        enumerate_moduli(params, p)
+        build_construction(params)
+        monkeypatch.setattr(construction, "MODULI_LIMIT", nodes - 1)
+        message = f"more than {nodes - 1} moduli at x=100000"
+        with pytest.raises(CapacityError, match=message):
+            enumerate_moduli(params, p)
+        with pytest.raises(CapacityError, match=message):
+            build_construction(params)
+
 
 class TestAssignResidue:
     def test_chain_examples(self):
@@ -137,6 +161,47 @@ class TestBuildConstruction:
         expected = 10**4 / (23 * l_scale(1 / (2 * params.c), 10**4))
         assert result.predicted_size == pytest.approx(expected)
         assert result.summary()["t"] == result.family.size
+
+    @pytest.mark.parametrize(
+        "x, squarefree, digest",
+        [
+            (10**6, False, "c8452a7fcc10f5674b506c4b53b6b5149206dd0ed7102d032e856d6a1f9573a1"),
+            (10**7, False, "ad73110cc338fd905bdf6c4d228e9161aebbee0d0d9c9c47305d2a9db91a6751"),
+            (10**8, False, "bcca8b1ae489837819cf8acfc57acbabe6ef1016ec7bac2c1283dbb12723e7a1"),
+            (10**8, True, "0aa66bd45fc61cb6efab56214fd911c46990e31e6ddf672bd200bd5eac197178"),
+        ],
+    )
+    def test_frozen_digest(self, x, squarefree, digest):
+        # the families of the benchmark's table, byte for byte
+        family = build_construction(ConstructionParams(x=x, squarefree_only=squarefree)).family
+        assert family_digest(family) == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.integers(min_value=16, max_value=200_000),
+        c=st.floats(min_value=0.4, max_value=1.5),
+        squarefree=st.booleans(),
+        include_p=st.booleans(),
+    )
+    def test_matches_per_member_oracle(self, x, c, squarefree, include_p):
+        try:
+            params = ConstructionParams(x=x, c=c, squarefree_only=squarefree, include_p_itself=include_p)
+        except DomainError:
+            assume(False)
+        result = build_construction(params)
+        expected = [assign_residue(q, result.p) for q in enumerate_moduli(params, result.p)]
+        assert result.family == Family(tuple(expected), x)
+
+    def test_residues_come_from_the_walk(self, monkeypatch):
+        # no per-member CRT chain: the oracle's pieces are never called
+        def refuse(*args):
+            raise AssertionError("per-member CRT in the build path")
+
+        monkeypatch.setattr(construction, "_chain_residue", refuse)
+        monkeypatch.setattr(construction, "crt_pair", refuse)
+        monkeypatch.setattr(construction, "factorize", refuse)
+        assert as_pairs(build_construction(ConstructionParams(x=100)).family) == X100
+        assert truncated_construction(300).size == 300
 
     def test_deterministic_bytes(self):
         a = dumps_family(build_construction(ConstructionParams(x=1000)).family)

@@ -16,7 +16,7 @@ from apfam.construction import (
     truncated_construction,
 )
 from apfam import family as family_module
-from apfam.errors import DomainError, FamilyFormatError, NotDisjointError, StructuralError
+from apfam.errors import DomainError, FamilyFormatError, StructuralError
 from apfam.numtheory import crt_pair
 from apfam.family import (
     NUMPY_CUTOVER,
@@ -25,7 +25,6 @@ from apfam.family import (
     Progression,
     _scan_dense,
     _scan_python,
-    certify,
     density,
     disjoint,
     dumps_family,
@@ -401,18 +400,6 @@ class TestPartitionOracle:
 CONSTRUCTION = truncated_construction(400)
 
 
-class TestCertify:
-    def test_marks_verified_with_digest(self):
-        f = certify(fam(SEVEN_EIGHTHS, 8))
-        assert f.verified
-        assert f.certificate == family_digest(f)
-
-    def test_raises_with_pair(self):
-        with pytest.raises(NotDisjointError) as err:
-            certify(fam([(0, 2), (0, 4)], 4))
-        assert err.value.common == 0
-
-
 class TestTranslate:
     def test_example(self):
         f = translate(fam(SEVEN_EIGHTHS, 8), 1)
@@ -421,11 +408,6 @@ class TestTranslate:
             (2, 4),
             (4, 8),
         ]
-
-    def test_drops_verified(self):
-        f = certify(fam(SEVEN_EIGHTHS, 8))
-        shifted = translate(f, 3)
-        assert not shifted.verified and shifted.certificate is None
 
     @given(st.integers(min_value=-1000, max_value=1000))
     def test_verdict_invariant(self, shift):
