@@ -16,7 +16,7 @@ import numpy as np
 
 from .construction import ConstructionParams, build_construction
 from .errors import CapacityError, DomainError
-from .family import Family, Progression
+from .family import Family
 from .numtheory import factor_table, factorize, l_scale, psi, psi_star, sieve_primes
 
 OMEGA_TABLE_LIMIT = 50_000_000
@@ -119,7 +119,7 @@ def split_squarefull(n: int) -> tuple[int, int]:
 
 def _squarefull_parts(family: Family) -> np.ndarray:
     # split_squarefull(q)[0] for every modulus q, from one factor table
-    table = factor_table(family.moduli())
+    table = factor_table(family.q)
     alpha = np.ones(family.size, dtype=np.int64)
     square = table.exponent > 1
     powers = table.prime[square].astype(np.int64) ** table.exponent[square]
@@ -162,35 +162,38 @@ def _choose_and_reduce(family: Family) -> tuple[int, Family]:
 
 
 def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
-    selected = [pr for pr, part in zip(family.items, parts.tolist()) if part == alpha]
+    # the members kept stay in modulus order, and dividing by alpha keeps it
+    selected = np.flatnonzero(parts == alpha).tolist()
     reduced_bound = max(2, family.x_bound // alpha)
     if not selected:
-        return Family(items=(), x_bound=reduced_bound)
-    classes: dict[int, list[Progression]] = {}
-    for pr in selected:
-        if pr.modulus % alpha:
-            raise DomainError(f"alpha {alpha} does not divide modulus {pr.modulus}")
-        classes.setdefault(pr.residue % alpha, []).append(pr)
+        return Family.from_columns((), (), reduced_bound)
+    q, a = family.q, family.a
+    classes: dict[int, list[int]] = {}  # residue class mod alpha -> indices
+    for i in selected:
+        if q[i] % alpha:
+            raise DomainError(f"alpha {alpha} does not divide modulus {q[i]}")
+        classes.setdefault(a[i] % alpha, []).append(i)
     best = min(classes, key=lambda b: (-len(classes[b]), b))
-    reduced = []
-    for pr in classes[best]:
-        q = pr.modulus // alpha
-        if q < 2:
+    moduli, residues = [], []
+    for i in classes[best]:
+        reduced = q[i] // alpha
+        if reduced < 2:
             raise DomainError(
-                f"member {pr} equals its squarefull part; nothing remains to reduce"
+                f"member {a[i]} mod {q[i]} equals its squarefull part; nothing remains to reduce"
             )
-        reduced.append(Progression(pr.residue % q, q))
-    return Family.build(reduced, reduced_bound)
+        moduli.append(reduced)
+        residues.append(a[i] % reduced)
+    return Family.from_columns(moduli, residues, reduced_bound)
 
 
 def alpha_exceeding_fraction(family: Family, c: float = 1 / 3) -> Fraction:
     """Fraction of members whose squarefull part exceeds L(c, x_bound)."""
-    if not family.items:
+    if not family.size:
         return Fraction(0)
     bound = l_scale(c, max(16, family.x_bound))
     # squarefull parts are at most FACTOR_LIMIT < 2**53, so exact as doubles
     over = int(np.count_nonzero(_squarefull_parts(family) > bound))
-    return Fraction(over, len(family.items))
+    return Fraction(over, family.size)
 
 
 @dataclass(frozen=True)

@@ -91,16 +91,17 @@ def cmd_verify(args) -> int:
         _emit({"ok": True, "pairs": report.pair_count, "digest": report.digest})
         return 0
     w = report.witness
+    q, a = family.q, family.a
     _emit(
         {
             "ok": False,
             "witness": {
                 "i": w.i,
                 "j": w.j,
-                "q_i": family.items[w.i].modulus,
-                "a_i": family.items[w.i].residue,
-                "q_j": family.items[w.j].modulus,
-                "a_j": family.items[w.j].residue,
+                "q_i": q[w.i],
+                "a_i": a[w.i],
+                "q_j": q[w.j],
+                "a_j": a[w.j],
                 "common": w.common,
             },
         }
@@ -214,7 +215,7 @@ def cmd_reduce(args) -> int:
 def cmd_bench(args) -> int:
     family = truncated_construction(args.k)
     started = time.perf_counter()
-    hit = _scan_dense(family.items)
+    hit = _scan_dense(family.q, family.a)
     elapsed = time.perf_counter() - started
     started = time.perf_counter()
     report = verify_family(family)

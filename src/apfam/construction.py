@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .family import Family, Progression
+from .family import Family, Progression, _sorted_columns
 from .numtheory import crt_pair, factorize, l_scale, sieve_primes
 
 DEFAULT_C = 1 / math.sqrt(2)
@@ -42,8 +42,9 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int, visit, pinned: bool = True) -> None:
-    """Call visit(q, residue) for every member q = p*m <= x, unsorted.
+def _walk(params: ConstructionParams, p: int, moduli: list, residues: list | None = None) -> None:
+    """Append every member q = p*m <= x to moduli, unsorted, and its residue
+    to residues.
 
     m multiplies prime powers below p (primes only when squarefree_only) in
     ascending value: each step takes a power after the last one taken whose
@@ -59,13 +60,13 @@ def _walk(params: ConstructionParams, p: int, visit, pinned: bool = True) -> Non
     (mod m) and res' = t (mod c), and the member's residue is res (mod m)
     and t (mod p).  Each is one step res + m*((t - res) * inv(m) mod n)
     with n = c or p, which is coprime to m; inv(m) mod p is carried as a
-    product of the powers' inverses.  pinned=False skips the last step and
-    hands visit None, so p need not be prime when only the moduli are
-    wanted.
+    product of the powers' inverses.  Without residues the last step is
+    skipped, so p need not be prime when only the moduli are wanted.
     """
     bound = params.x // p
     if bound < 1:
         return
+    pinned = residues is not None
     table = []  # (value, prime, value's inverse mod p)
     for r in sieve_primes(max(2, p)):
         if r >= p:
@@ -79,12 +80,16 @@ def _walk(params: ConstructionParams, p: int, visit, pinned: bool = True) -> Non
     table.sort()
     n = len(table)
     include_p = params.include_p_itself
+    append_q = moduli.append
+    append_a = residues.append if pinned else None
     count = 0
 
     def rec(i, m, res, top, inv):
         nonlocal count
         if m > 1 or include_p:
-            visit(p * m, res + m * ((top - res) * inv % p) if pinned else None)
+            append_q(p * m)
+            if pinned:
+                append_a(res + m * ((top - res) * inv % p))
         count += 1
         if count > MODULI_LIMIT:
             raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
@@ -103,7 +108,7 @@ def _walk(params: ConstructionParams, p: int, visit, pinned: bool = True) -> Non
 def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
     """Ascending q = p*m <= x with every prime-power factor of m below p."""
     moduli = []
-    _walk(params, p, lambda q, residue: moduli.append(q), pinned=False)
+    _walk(params, p, moduli)
     return sorted(moduli)
 
 
@@ -155,9 +160,9 @@ class ConstructionResult:
 def build_construction(params: ConstructionParams) -> ConstructionResult:
     """The full family at x: pairwise disjoint with distinct moduli <= x."""
     p = choose_prime(params)
-    items = []
-    _walk(params, p, lambda q, residue: items.append(Progression(residue, q)))
-    family = Family.build(items, params.x)
+    moduli, residues = [], []
+    _walk(params, p, moduli, residues)
+    family = Family.from_columns(*_sorted_columns(moduli, residues), params.x)
     predicted = params.x / (p * l_scale(1 / (2 * params.c), params.x))
     return ConstructionResult(family=family, p=p, predicted_size=predicted)
 
@@ -173,9 +178,9 @@ def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
     for x in (10**6, 10**7, 10**8, 10**9):
         params = ConstructionParams(x=x, c=c)
         p = choose_prime(params)
-        members = []
-        _walk(params, p, lambda q, residue: members.append((q, residue)))
-        if len(members) >= k:
-            members.sort()
-            return Family.build((Progression(a, q) for q, a in members[:k]), x)
+        moduli, residues = [], []
+        _walk(params, p, moduli, residues)
+        if len(moduli) >= k:
+            moduli, residues = _sorted_columns(moduli, residues)
+            return Family.from_columns(moduli[:k], residues[:k], x)
     raise CapacityError(f"no supported x yields {k} moduli")

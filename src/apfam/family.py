@@ -13,9 +13,10 @@ import bisect
 import hashlib
 import json
 import math
+import operator
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,7 +34,18 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 _CANONICAL_LINE = re.compile(r'\{"q": (0|[1-9][0-9]{0,999}), "a": (0|[1-9][0-9]{0,999})\}\n?')
 
 
-@dataclass(frozen=True, slots=True)  # slots: a family holds one per member
+def _reduced(residue: int, modulus: int) -> int:
+    """residue as a member takes it: a modulus below 2 is rejected, and a
+    residue outside [0, modulus) is reduced with a warning."""
+    if modulus < 2:
+        raise StructuralError(f"modulus must be >= 2, got {modulus}")
+    if not 0 <= residue < modulus:
+        warnings.warn(f"residue {residue} reduced mod {modulus}", stacklevel=3)
+        residue %= modulus
+    return residue
+
+
+@dataclass(frozen=True, slots=True)  # slots: a family's items view holds one per member
 class Progression:
     """The arithmetic progression residue + k*modulus, k >= 0."""
 
@@ -41,13 +53,8 @@ class Progression:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise StructuralError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            warnings.warn(
-                f"residue {self.residue} reduced mod {self.modulus}", stacklevel=2
-            )
-            object.__setattr__(self, "residue", self.residue % self.modulus)
+        if self.modulus < 2 or not 0 <= self.residue < self.modulus:
+            object.__setattr__(self, "residue", _reduced(self.residue, self.modulus))
 
     def contains(self, n: int) -> bool:
         return (n - self.residue) % self.modulus == 0
@@ -61,27 +68,50 @@ def disjoint(p: Progression, q: Progression) -> bool:
     return (p.residue - q.residue) % math.gcd(p.modulus, q.modulus) != 0
 
 
-@dataclass(frozen=True)
 class Family:
-    """Progressions with strictly increasing moduli, all within [2, x_bound]."""
+    """Progressions with strictly increasing moduli, all within [2, x_bound].
 
-    items: tuple[Progression, ...]
-    x_bound: int
+    A family is stored as two tuples of ints, q (the moduli) and a (their
+    residues), so a large one holds no object per member.  items, the
+    members as Progressions, is built on first use and cached; the cache is
+    no part of ==, hash or pickle.  Family(items, x_bound) and
+    from_columns(q, a, x_bound) validate alike: each member by _reduced,
+    the family by _init.
+    """
 
-    def __post_init__(self):
-        if self.x_bound < 2:
-            raise StructuralError(f"x_bound must be >= 2, got {self.x_bound}")
-        previous = 1
-        for pr in self.items:
-            if pr.modulus <= previous:
-                raise StructuralError(
-                    f"moduli must strictly increase, {pr.modulus} after {previous}"
-                )
-            previous = pr.modulus
-        if previous > self.x_bound:
-            raise StructuralError(
-                f"modulus {previous} exceeds x_bound {self.x_bound}"
-            )
+    __slots__ = ("q", "a", "x_bound", "_items")
+
+    def __init__(self, items: Iterable[Progression], x_bound: int):
+        items = tuple(items)
+        moduli = tuple([pr.modulus for pr in items])
+        self._init(moduli, tuple([pr.residue for pr in items]), x_bound, items)
+
+    @classmethod
+    def from_columns(cls, moduli: Iterable[int], residues: Iterable[int], x_bound: int) -> "Family":
+        """The family of members residues[i] mod moduli[i], checked and
+        reduced as Family(items, x_bound) checks the Progressions they make."""
+        moduli, residues = tuple(moduli), tuple(residues)
+        if len(moduli) != len(residues):
+            raise StructuralError(f"{len(moduli)} moduli but {len(residues)} residues")
+        if moduli and not (
+            min(moduli) >= 2 and min(residues) >= 0 and all(map(operator.lt, residues, moduli))
+        ):
+            residues = tuple(map(_reduced, residues, moduli))
+        family = object.__new__(cls)
+        family._init(moduli, residues, x_bound, None)
+        return family
+
+    def _init(self, q: tuple, a: tuple, x_bound: int, items) -> None:
+        # every member is already checked; this checks the family
+        if x_bound < 2:
+            raise StructuralError(f"x_bound must be >= 2, got {x_bound}")
+        if not all(map(operator.lt, q, q[1:])):
+            k = next(k for k in range(1, len(q)) if q[k] <= q[k - 1])
+            raise StructuralError(f"moduli must strictly increase, {q[k]} after {q[k - 1]}")
+        if q and q[-1] > x_bound:
+            raise StructuralError(f"modulus {q[-1]} exceeds x_bound {x_bound}")
+        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", items)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def build(cls, progressions: Iterable[Progression], x_bound: int) -> "Family":
@@ -90,25 +120,70 @@ class Family:
         return cls(items=items, x_bound=x_bound)
 
     @property
+    def items(self) -> tuple[Progression, ...]:
+        """The members as Progressions, built on first use."""
+        if self._items is None:
+            object.__setattr__(self, "_items", _progressions(self.q, self.a))
+        return self._items
+
+    @property
     def size(self) -> int:
-        return len(self.items)
+        return len(self.q)
 
     def moduli(self) -> list[int]:
-        return [pr.modulus for pr in self.items]
+        return list(self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x_bound, self.q, self.a) == (other.x_bound, other.q, other.a)
+
+    def __hash__(self):
+        return hash((self.x_bound, self.q, self.a))
+
+    def __repr__(self):
+        return f"Family.from_columns({self.q!r}, {self.a!r}, {self.x_bound!r})"
+
+    def __getstate__(self):
+        return self.q, self.a, self.x_bound
+
+    def __setstate__(self, state):
+        self._init(*state, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _progressions(moduli: Sequence[int], residues: Sequence[int]) -> tuple[Progression, ...]:
+    # Family.items' builder; no hot path calls it
+    return tuple(map(Progression, residues, moduli))
+
+
+def _sorted_columns(moduli: list[int], residues: list[int]) -> tuple[list[int], list[int]]:
+    """Both columns ordered by modulus, stably, as Family.build orders
+    members; each residue must lie in [0, its modulus)."""
+    if all(map(operator.lt, moduli, moduli[1:])):
+        return moduli, residues
+    # int64 when it holds every value, else Python ints compared as objects
+    dtype = np.int64 if max(moduli) <= INT64_MAX else object
+    q, a = np.array(moduli, dtype=dtype), np.array(residues, dtype=dtype)
+    order = np.argsort(q, kind="stable")
+    return q[order].tolist(), a[order].tolist()
 
 
 def density(family: Family) -> Fraction:
     """Exact sum of reciprocals of the moduli."""
-    return sum((Fraction(1, pr.modulus) for pr in family.items), Fraction(0))
+    return sum((Fraction(1, q) for q in family.q), Fraction(0))
 
 
 def translate(family: Family, shift: int) -> Family:
     """Shift every progression by the same constant; disjointness is unaffected."""
-    items = tuple(
-        Progression((pr.residue + shift) % pr.modulus, pr.modulus)
-        for pr in family.items
-    )
-    return Family(items=items, x_bound=family.x_bound)
+    moduli = family.q
+    residues = [(a + shift) % q for a, q in zip(family.a, moduli)]
+    return Family.from_columns(moduli, residues, family.x_bound)
 
 
 @dataclass(frozen=True)
@@ -145,9 +220,9 @@ class _RowScanner:
     modulus fits in int64; every other row runs on Python integers.
     """
 
-    def __init__(self, items: Sequence[Progression]):
-        self.q = [pr.modulus for pr in items]
-        self.a = [pr.residue for pr in items]
+    def __init__(self, moduli: Sequence[int], residues: Sequence[int]):
+        self.q = moduli
+        self.a = residues
         self.wide = max(self.q, default=0) > INT64_MAX
         self.arrays = None  # (q, a) as int64, built on the first numpy row
         self.best = None
@@ -184,10 +259,10 @@ class _RowScanner:
                 return
 
 
-def _scan_dense(items: Sequence[Progression]) -> tuple[int, int] | None:
+def _scan_dense(moduli: Sequence[int], residues: Sequence[int]) -> tuple[int, int] | None:
     """Every pair, row by row: the partition's leaf scan over the whole family."""
-    scanner = _RowScanner(items)
-    everyone = list(range(len(items)))
+    scanner = _RowScanner(moduli, residues)
+    everyone = list(range(len(moduli)))
     scanner.scan(everyone, everyone)
     return scanner.best
 
@@ -214,7 +289,7 @@ def _bases(q: int, primes: Sequence[int], primorial: int) -> tuple[int, ...]:
     return tuple(bases)
 
 
-def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
+def _scan_partition(moduli: Sequence[int], residues: Sequence[int]) -> tuple[int, int] | None:
     """The lexicographically first meeting pair, as _scan_python finds it.
 
     A set of members is split by the divisor m shared by the most of them:
@@ -231,14 +306,14 @@ def _scan_partition(items: Sequence[Progression]) -> tuple[int, int] | None:
     cofactor left by them), where the whole set is known to lie in one
     class mod b**k; a stack entry carries those powers as {b: b**k}.
     """
-    if len(items) < 2:
+    if len(moduli) < 2:
         return None
-    scanner = _RowScanner(items)
+    scanner = _RowScanner(moduli, residues)
     q, a, scan = scanner.q, scanner.a, scanner.scan
 
     # Row 0 first, outright: a family that meets at all usually meets there,
     # and then nothing need be split.
-    others = list(range(1, len(items)))
+    others = list(range(1, len(moduli)))
     scan([0], others)
     if scanner.best is not None:
         return scanner.best
@@ -289,24 +364,22 @@ def verify_family(family: Family) -> VerificationReport:
     pair _scan_python would find and carries the smallest common element
     of the pair.
     """
-    items = family.items
-    n = len(items)
-    hit = _scan_partition(items)
+    q, a = family.q, family.a
+    n = len(q)
+    hit = _scan_partition(q, a)
     pair_count = n * (n - 1) // 2
     if hit is None:
         return VerificationReport(True, None, pair_count, family_digest(family))
     i, j = hit
-    merged = crt_pair(
-        items[i].residue, items[i].modulus, items[j].residue, items[j].modulus
-    )
+    merged = crt_pair(a[i], q[i], a[j], q[j])
     return VerificationReport(False, Witness(i, j, merged[0]), pair_count, None)
 
 
 def _lines(family: Family) -> Iterable[str]:
     # The bytes json.dumps gives each line's object, formatted directly.
-    yield '{"x": %d, "count": %d}\n' % (family.x_bound, len(family.items))
-    for pr in family.items:
-        yield '{"q": %d, "a": %d}\n' % (pr.modulus, pr.residue)
+    yield '{"x": %d, "count": %d}\n' % (family.x_bound, family.size)
+    for q, a in zip(family.q, family.a):
+        yield f'{{"q": {q}, "a": {a}}}\n'
 
 
 def dumps_family(family: Family) -> str:
@@ -336,7 +409,8 @@ def _require_int(value, what: str) -> int:
 def _parse_line(line: str, number: int) -> dict:
     try:
         row = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+    # JSONDecodeError, an integer past int's digit limit, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FamilyFormatError(f"line {number}: invalid JSON ({exc})") from exc
     if not isinstance(row, dict):
         raise FamilyFormatError(f"line {number}: expected an object")
@@ -352,7 +426,7 @@ def _parse_family(lines: Iterable[str]) -> Family:
     header = _parse_line(first[1], 1)
     x_bound = _require_int(header.get("x"), "header: field 'x'")
     count = _require_int(header.get("count"), "header: field 'count'")
-    progressions = []
+    moduli, residues = [], []
     for number, line in numbered:
         canonical = _CANONICAL_LINE.fullmatch(line)
         if canonical:
@@ -361,12 +435,15 @@ def _parse_family(lines: Iterable[str]) -> Family:
             row = _parse_line(line, number)
             q = _require_int(row.get("q"), f"line {number}: field 'q'")
             a = _require_int(row.get("a"), f"line {number}: field 'a'")
-        progressions.append(Progression(a, q))
-    if count != len(progressions):
+        if q < 2 or not 0 <= a < q:
+            a = _reduced(a, q)
+        moduli.append(q)
+        residues.append(a)
+    if count != len(moduli):
         raise FamilyFormatError(
-            f"header count {count} but {len(progressions)} progression lines"
+            f"header count {count} but {len(moduli)} progression lines"
         )
-    return Family.build(progressions, x_bound)
+    return Family.from_columns(*_sorted_columns(moduli, residues), x_bound)
 
 
 def loads_family(text: str) -> Family:

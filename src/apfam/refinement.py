@@ -142,8 +142,9 @@ def _prime_map(
 
 def _eligible(family: Family, params: RefinementParams) -> tuple[Family, dict[int, list[int]]]:
     # filter_eligible's family, and the primes of each member kept
-    keep, primes_of = _prime_map(family.moduli(), params)
-    return Family(items=tuple(compress(family.items, keep)), x_bound=family.x_bound), primes_of
+    keep, primes_of = _prime_map(family.q, params)
+    kept = Family.from_columns(compress(family.q, keep), compress(family.a, keep), family.x_bound)
+    return kept, primes_of
 
 
 def filter_eligible(family: Family, params: RefinementParams) -> Family:
@@ -262,7 +263,9 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     with no unused prime, which raises DomainError.
     """
     base, primes_of = _eligible(family, params)
-    members = list(base.items)
+    # the certificate's own Progressions, not the family's items view
+    base_items = tuple(map(Progression, base.a, base.q))
+    members = list(base_items)
     if not members:
         return RefinementCertificate(
             params=params, base=(), steps=(), t=0, witness_prime=None, divisible_count=0
@@ -274,7 +277,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
         hit = _stop_witness(members, used, params, primes_of)
         if hit is not None:
             # hit is the witness prime and its divisible count
-            return RefinementCertificate(params, base.items, tuple(steps), len(steps), *hit)
+            return RefinementCertificate(params, base_items, tuple(steps), len(steps), *hit)
         if len(members) < 2:
             raise DomainError(
                 "refinement stalled on one member with no qualifying prime; "
@@ -303,7 +306,10 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         expected_base, primes_of = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
-    if cert.base != expected_base.items:
+    if (
+        tuple(pr.modulus for pr in cert.base) != expected_base.q
+        or tuple(pr.residue for pr in cert.base) != expected_base.a
+    ):
         return CertificateCheck(False, "base")
     if cert.t != len(cert.steps):
         return CertificateCheck(False, "structure")
@@ -444,6 +450,7 @@ def read_certificate(path) -> RefinementCertificate:
             data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"certificate is not UTF-8 text ({exc.reason})") from exc
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        # JSONDecodeError, an integer past int's digit limit, or arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise FamilyFormatError(f"invalid certificate JSON: {exc}") from exc
     return certificate_from_dict(data)

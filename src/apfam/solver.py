@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 from .construction import ConstructionParams, build_construction
-from .family import Family, Progression
+from .family import Family
 
 X_MAX_EXACT = 64
 X_ORACLE_MAX = 20
@@ -103,7 +103,8 @@ def solve_exact(config: SearchConfig) -> SearchResult:
         rec(rest, used)
 
     rec([(q, 0) for q in range(x, 1, -1)], 0)
-    witness = Family.build([Progression(a, q) for q, a in best], x)
+    best.sort()
+    witness = Family.from_columns([q for q, _ in best], [a for _, a in best], x)
     return SearchResult(
         k_max=len(best), witness=witness, nodes=nodes, proven_optimal=not cutoff
     )

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -7,10 +9,12 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apfam import bounds
 from apfam.cli import build_parser, main
 from apfam.construction import ConstructionParams, assign_residue, build_construction
+from apfam.numtheory import crt_pair
 from apfam.family import (
     Family,
     Progression,
@@ -151,6 +155,90 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+
+FUZZ_INTS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.integers(10**999, 10**1000 - 1).map(str),  # the canonical pattern's longest
+    st.just("9" * 5000),  # past int()'s default digit limit
+)
+BAD_LINES = [
+    '{"q": 2, "a"',
+    "[1, 2]",
+    "null",
+    '{"q": 2.5, "a": 0}',
+    '{"q": true, "a": 0}',
+    '{"q": "7", "a": 1}',
+    '{"a": 1}',
+    "[" * 100_000,  # nested past the JSON decoder's recursion limit
+    "\x00",
+]
+
+
+@st.composite
+def family_files(draw):
+    """Family file bytes: members, possibly meeting or repeated, then
+    malformed lines, huge integers, a wrong count or header, CRLF, a BOM
+    and bytes that are not UTF-8."""
+    rows = draw(st.lists(st.tuples(st.integers(2, 60), st.integers(0, 59)), max_size=6))
+    lines = ['{"q": %d, "a": %d}' % row for row in rows]
+    rarely = st.integers(0, 3).map(lambda k: k == 3)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["bad", "ints", "repeat"]))
+        if kind == "bad":
+            lines.insert(at, draw(st.sampled_from(BAD_LINES)))
+        elif kind == "ints":
+            lines.insert(at, '{"q": %s, "a": %s}' % (draw(FUZZ_INTS), draw(FUZZ_INTS)))
+        elif lines:
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
+    x = draw(st.sampled_from([60, 60, 1, 30, 10**1000]))
+    count = len(lines) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    header = draw(st.sampled_from([
+        '{"x": %d, "count": %d}' % (x, count),
+        '{"x": %d, "count": %d}' % (x, count),
+        '{"x": %d}' % x,
+        '{"x": "%d", "count": %d}' % (x, count),
+        "[]",
+    ]))
+    text = "\n".join([header] + lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    data = (b"\xef\xbb\xbf" if draw(rarely) else b"") + text.encode("utf-8")
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestVerifyExitCodes:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("verify-fuzz") / "fam.jsonl"
+
+    @pytest.mark.filterwarnings("ignore:residue")
+    @settings(max_examples=300, deadline=None)
+    @given(family_files())
+    @example(b'{"x": 8, "count": 2}\n{"q": 4, "a": 0}\n{"q": 4, "a": 1}\n')
+    @example(b'{"x": 60, "count": 2}\n{"q": 4, "a": 1}\n{"q": 6, "a": 3}\n')
+    @example(b'{"x": 8, "count": 1}\n' + b"[" * 100_000 + b"\n")
+    def test_exit_codes(self, path, data):
+        # 0 with a digest, 1 only with a witness that re-checks, 2 with an
+        # error line; never a traceback
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert last_json(out.getvalue())["ok"] is True
+        elif code == 1:
+            w = last_json(out.getvalue())["witness"]
+            assert w["i"] < w["j"]
+            assert crt_pair(w["a_i"], w["q_i"], w["a_j"], w["q_j"])[0] == w["common"]
+        else:
+            assert err.getvalue().startswith("error:")
 
 
 class TestSolve:

@@ -41,6 +41,11 @@ def fam(pairs, x_bound):
     return Family.build([Progression(a, q) for a, q in pairs], x_bound)
 
 
+def dense(items):
+    """_scan_dense over the columns of a Progression list."""
+    return _scan_dense([pr.modulus for pr in items], [pr.residue for pr in items])
+
+
 SEVEN_EIGHTHS = [(0, 2), (1, 4), (3, 8)]
 
 # Progression lines as _lines writes them, and near misses the pattern must
@@ -215,7 +220,7 @@ class TestVerify:
                 moduli = sorted(rng.sample(range(2, 200), n))
                 items = [Progression(rng.randrange(q), q) for q in moduli]
             expected = _scan_python(items)
-            assert _scan_dense(items) == expected
+            assert dense(items) == expected
             if expected is None:
                 seen.add("disjoint, numpy rows" if n > NUMPY_CUTOVER + 1 else "disjoint")
             else:
@@ -225,12 +230,12 @@ class TestVerify:
         # moduli times 2**63, past int64, every row takes the exact route
         for scale in (1, 2**63):
             items = [Progression(pr.residue, pr.modulus * scale) for pr in built[:250]]
-            assert _scan_python(items) is None and _scan_dense(items) is None
+            assert _scan_python(items) is None and dense(items) is None
             for k, j in ((3, 4), (3, 249), (60, 61), (60, 249)):
                 planted = list(items)
                 q = planted[j].modulus
                 planted[j] = Progression(planted[k].residue % q, q)
-                assert _scan_dense(planted) == _scan_python(planted) == (k, j)
+                assert dense(planted) == _scan_python(planted) == (k, j)
 
     def test_moduli_past_int64_take_the_exact_scan(self):
         scale = 2**63
