@@ -55,7 +55,18 @@ def _write_manifest(out_path, command, parameters, inputs, started) -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    # int's limit on the digits it converts to text (Python 3.10.7 on, 0 for
+    # none) guards reading, but a witness's common element can pass it: the
+    # limit is lifted while the summary is formatted, then restored.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def cmd_construct(args) -> int:
@@ -325,10 +336,7 @@ def main(argv=None) -> int:
             }
         )
         return 1
-    except (DomainError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

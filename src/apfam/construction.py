@@ -42,9 +42,8 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int, moduli: list, residues: list | None = None) -> None:
-    """Append every member q = p*m <= x to moduli, unsorted, and its residue
-    to residues.
+def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
+    """Every member q = p*m <= x, unsorted, and its residue, as two columns.
 
     m multiplies prime powers below p (primes only when squarefree_only) in
     ascending value: each step takes a power after the last one taken whose
@@ -60,20 +59,19 @@ def _walk(params: ConstructionParams, p: int, moduli: list, residues: list | Non
     (mod m) and res' = t (mod c), and the member's residue is res (mod m)
     and t (mod p).  Each is one step res + m*((t - res) * inv(m) mod n)
     with n = c or p, which is coprime to m; inv(m) mod p is carried as a
-    product of the powers' inverses.  Without residues the last step is
-    skipped, so p need not be prime when only the moduli are wanted.
+    product of the powers' inverses.
     """
+    moduli, residues = [], []
     bound = params.x // p
     if bound < 1:
-        return
-    pinned = residues is not None
+        return moduli, residues
     table = []  # (value, prime, value's inverse mod p)
     for r in sieve_primes(max(2, p)):
         if r >= p:
             break
         c = r
         while c < p:
-            table.append((c, r, pow(c, -1, p) if pinned else 0))
+            table.append((c, r, pow(c, -1, p)))
             if params.squarefree_only:
                 break
             c *= r
@@ -81,15 +79,14 @@ def _walk(params: ConstructionParams, p: int, moduli: list, residues: list | Non
     n = len(table)
     include_p = params.include_p_itself
     append_q = moduli.append
-    append_a = residues.append if pinned else None
+    append_a = residues.append
     count = 0
 
     def rec(i, m, res, top, inv):
         nonlocal count
         if m > 1 or include_p:
             append_q(p * m)
-            if pinned:
-                append_a(res + m * ((top - res) * inv % p))
+            append_a(res + m * ((top - res) * inv % p))
         count += 1
         if count > MODULI_LIMIT:
             raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
@@ -103,13 +100,7 @@ def _walk(params: ConstructionParams, p: int, moduli: list, residues: list | Non
                 rec(j + 1, mc, step, c, inv * c_inv % p)
 
     rec(0, 1, 0, 0, 1)
-
-
-def enumerate_moduli(params: ConstructionParams, p: int) -> list[int]:
-    """Ascending q = p*m <= x with every prime-power factor of m below p."""
-    moduli = []
-    _walk(params, p, moduli)
-    return sorted(moduli)
+    return moduli, residues
 
 
 def _chain_residue(chain: list[int], p: int) -> int:
@@ -160,9 +151,7 @@ class ConstructionResult:
 def build_construction(params: ConstructionParams) -> ConstructionResult:
     """The full family at x: pairwise disjoint with distinct moduli <= x."""
     p = choose_prime(params)
-    moduli, residues = [], []
-    _walk(params, p, moduli, residues)
-    family = Family.from_columns(*_sorted_columns(moduli, residues), params.x)
+    family = Family.from_columns(*_sorted_columns(*_walk(params, p)), params.x)
     predicted = params.x / (p * l_scale(1 / (2 * params.c), params.x))
     return ConstructionResult(family=family, p=p, predicted_size=predicted)
 
@@ -177,9 +166,7 @@ def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
         raise DomainError(f"need k >= 1, got {k}")
     for x in (10**6, 10**7, 10**8, 10**9):
         params = ConstructionParams(x=x, c=c)
-        p = choose_prime(params)
-        moduli, residues = [], []
-        _walk(params, p, moduli, residues)
+        moduli, residues = _walk(params, choose_prime(params))
         if len(moduli) >= k:
             moduli, residues = _sorted_columns(moduli, residues)
             return Family.from_columns(moduli[:k], residues[:k], x)

@@ -2,24 +2,28 @@
 
 Start from the members whose squarefree moduli have fewer than omega_cap
 distinct prime factors and at least one prime factor above prime_floor.
-Each step picks a member r, collects the primes of r not yet fixed, and
-keeps the largest subgroup of members sharing one of those primes e and one
-residue class B mod e.  Pairwise disjointness forces every member to be
-divisible by at least one collected prime (two members agreeing modulo all
-shared primes would intersect), so pigeonholing over at most omega_cap
-primes and e residue classes keeps the survivor count within a predictable
-factor.  The run stops once some untouched prime above prime_floor divides
-at least a 1/ratio_denominator fraction of the survivors; the certificate
-records every choice so a checker can replay the run independently.
+Each step picks the member r with the fewest prime factors (the smallest
+modulus among ties), collects the primes of r not yet fixed, takes the one
+e dividing the most members (the smallest among ties), and keeps the
+members divisible by e in the residue class B mod e that holds the most of
+them (the smallest B among ties).  Pairwise disjointness forces every
+member to be divisible by at least one collected prime (two members
+agreeing modulo all shared primes would intersect), so pigeonholing over at
+most omega_cap primes and e residue classes keeps the survivor count within
+a predictable factor.  Before each step, the run stops once some unfixed
+prime of at least prime_floor divides at least a 1/ratio_denominator
+fraction of the survivors; the witness is the one dividing the most (the
+smallest among ties).  The certificate records every choice so a checker
+can replay the run independently.
 """
 
+import bisect
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from typing import Sequence
 
 import numpy as np
 
@@ -111,40 +115,34 @@ def _squarefree_table(moduli: list[int]) -> FactorTable:
     return table
 
 
-def _prime_map(
-    moduli: list[int], params: RefinementParams | None = None
-) -> tuple[list[bool], dict[int, list[int]]]:
-    # which moduli are kept, and the ascending primes of each one kept, from
-    # one factor table; with params, filter_eligible's test keeps a modulus
-    # (omega below omega_cap and a prime above prime_floor), else every one
-    # is kept.  A modulus is squarefree, so p divides it exactly when p is
-    # in its list.
+def _prime_map(moduli: list[int], params: RefinementParams) -> tuple[list[bool], list[list[int]]]:
+    # which moduli filter_eligible's test keeps (omega below omega_cap and a
+    # prime above prime_floor), and the ascending primes of each one kept,
+    # in order, from one factor table.  A modulus is squarefree, so p divides
+    # it exactly when p is in its list.
     table = _squarefree_table(moduli)
-    keep = np.ones(len(moduli), dtype=bool)
-    if params is not None:
-        omega = np.bincount(table.index, minlength=keep.size) + (table.cofactor > 1)
-        large = table.cofactor > params.prime_floor
-        large[table.index[table.prime > params.prime_floor]] = True
-        keep = (omega < params.omega_cap) & large
+    omega = np.bincount(table.index, minlength=len(moduli)) + (table.cofactor > 1)
+    large = table.cofactor > params.prime_floor
+    large[table.index[table.prime > params.prime_floor]] = True
+    keep = (omega < params.omega_cap) & large
     hit = keep[table.index]
     primes = table.prime[hit].tolist()
     counts = np.bincount(table.index[hit], minlength=keep.size)[keep].tolist()
     cofactors = table.cofactor[keep].tolist()
-    keep = keep.tolist()
-    lists, start = {}, 0
-    for q, count, cofactor in zip(compress(moduli, keep), counts, cofactors):
+    lists, start = [], 0
+    for count, cofactor in zip(counts, cofactors):
         # built at their final length: a list grown by append over-allocates
         below = primes[start : start + count]
-        lists[q] = below + [cofactor] if cofactor > 1 else below
+        lists.append(below + [cofactor] if cofactor > 1 else below)
         start += count
-    return keep, lists
+    return keep.tolist(), lists
 
 
-def _eligible(family: Family, params: RefinementParams) -> tuple[Family, dict[int, list[int]]]:
-    # filter_eligible's family, and the primes of each member kept
-    keep, primes_of = _prime_map(family.q, params)
+def _eligible(family: Family, params: RefinementParams) -> tuple[Family, list[list[int]]]:
+    # filter_eligible's family, and the primes of each member kept, in order
+    keep, primes = _prime_map(family.q, params)
     kept = Family.from_columns(compress(family.q, keep), compress(family.a, keep), family.x_bound)
-    return kept, primes_of
+    return kept, primes
 
 
 def filter_eligible(family: Family, params: RefinementParams) -> Family:
@@ -155,99 +153,42 @@ def filter_eligible(family: Family, params: RefinementParams) -> Family:
     return _eligible(family, params)[0]
 
 
-def _candidates(chosen: int, used, primes_of: dict[int, list[int]]) -> tuple[int, ...]:
-    # the primes of the chosen modulus that no earlier step fixed
-    return tuple(p for p in primes_of[chosen] if p not in used)
+# The chain and its checker hold members as positions into the base
+# family's columns, ascending, so position order is modulus order, and
+# primes[i] lists the primes of the member at position i.
 
 
-def _first_uncovered(members, chosen: int, candidates, primes_of: dict[int, list[int]]):
+def _candidates(primes: list[int], used) -> tuple[int, ...]:
+    # the primes of the chosen member that no earlier step fixed
+    return tuple(p for p in primes if p not in used)
+
+
+def _first_uncovered(members, chosen: int, candidates, primes: list[list[int]]) -> int | None:
     # the first member besides the chosen one divisible by no candidate prime
     candidates = set(candidates)
-    uncovered = (pr for pr in members if candidates.isdisjoint(primes_of[pr.modulus]))
-    return next((pr for pr in uncovered if pr.modulus != chosen), None)
+    return next((i for i in members if i != chosen and candidates.isdisjoint(primes[i])), None)
 
 
-def _prime_counts(members, primes_of: dict[int, list[int]]) -> Counter:
+def _prime_counts(members, primes: list[list[int]]) -> Counter:
     # how many members each prime divides
-    return Counter(chain.from_iterable(primes_of[pr.modulus] for pr in members))
+    return Counter(chain.from_iterable(primes[i] for i in members))
 
 
-def _divisible(members, p: int, primes_of: dict[int, list[int]]) -> list[Progression]:
-    return [pr for pr in members if p in primes_of[pr.modulus]]
+def _divisible(members, p: int, primes: list[list[int]]) -> list[int]:
+    return [i for i in members if p in primes[i]]
 
 
-def _in_class(members, p: int, b: int, primes_of: dict[int, list[int]]) -> list[Progression]:
-    # the members divisible by p and congruent to b mod p, in input order
-    return [pr for pr in _divisible(members, p, primes_of) if pr.residue % p == b]
-
-
-def refine_step(
-    members: Sequence[Progression],
-    used_primes: tuple[int, ...],
-    combined_residue: int,
-) -> RefinementStep:
-    """One refinement step on the current survivor set.
-
-    members must all be divisible by the used primes and congruent to
-    combined_residue modulo their product.  Raises NotDisjointError with a
-    concrete intersecting pair when some member shares no new prime with the
-    chosen one, which is impossible for a disjoint input.
-    """
-    if len(members) < 2:
-        raise DomainError("refinement step needs at least two members")
-    product = math.prod(used_primes)
-    for pr in members:
-        if pr.modulus % product or (pr.residue - combined_residue) % product:
-            raise DomainError(
-                f"member {pr} is not pinned to {combined_residue} mod {product}"
-            )
-    primes_of = _prime_map([pr.modulus for pr in members])[1]
-    return _refine_step(members, used_primes, combined_residue, primes_of)
-
-
-def _refine_step(
-    members: Sequence[Progression],
-    used_primes: tuple[int, ...],
-    combined_residue: int,
-    primes_of: dict[int, list[int]],
-) -> RefinementStep:
-    # at least two members, pinned to combined_residue mod the used primes;
-    # each is divisible by every used prime, so the fewest primes leave the
-    # fewest candidates
-    chosen = min(members, key=lambda pr: (len(primes_of[pr.modulus]), pr.modulus))
-    candidates = _candidates(chosen.modulus, used_primes, primes_of)
-    other = _first_uncovered(members, chosen.modulus, candidates, primes_of)
-    if other is not None:
-        # both members agree modulo every prime of the gcd, hence intersect
-        merged = crt_pair(chosen.residue, chosen.modulus, other.residue, other.modulus)
-        raise NotDisjointError(chosen, other, merged[0])
-
-    counts = _prime_counts(members, primes_of)
-    prime = min(candidates, key=lambda e: (-counts[e], e))
-    sizes = Counter(pr.residue % prime for pr in _divisible(members, prime, primes_of))
-    residue_class = min(sizes, key=lambda b: (-sizes[b], b))
-    survivors = _in_class(members, prime, residue_class, primes_of)
-    merged = crt_pair(combined_residue, math.prod(used_primes), residue_class, prime)
-    return RefinementStep(
-        index=len(used_primes) + 1,
-        chosen_modulus=chosen.modulus,
-        candidate_primes=candidates,
-        prime=prime,
-        residue_class=residue_class,
-        combined_residue=merged[0],
-        survivors=tuple(sorted(pr.modulus for pr in survivors)),
-    )
+def _in_class(members, p: int, b: int, residues, primes: list[list[int]]) -> list[int]:
+    # the members divisible by p and congruent to b mod p, in order
+    return [i for i in _divisible(members, p, primes) if residues[i] % p == b]
 
 
 def _stop_witness(
-    members: Sequence[Progression],
-    used: tuple[int, ...],
-    params: RefinementParams,
-    primes_of: dict[int, list[int]],
+    members, used: tuple[int, ...], params: RefinementParams, primes: list[list[int]]
 ) -> tuple[int, int] | None:
-    # the stopping rule: an unused prime above prime_floor dividing at least
-    # |members| / ratio_denominator of the members
-    counts = _prime_counts(members, primes_of)
+    # the stopping rule: an unused prime of at least prime_floor dividing
+    # at least |members| / ratio_denominator of the members
+    counts = _prime_counts(members, primes)
     eligible = [p for p in counts if p >= params.prime_floor and p not in used]
     prime = min(eligible, key=lambda p: (-counts[p], p), default=None)
     if prime is not None and counts[prime] * params.ratio_denominator >= len(members):
@@ -258,23 +199,26 @@ def _stop_witness(
 def build_chain(family: Family, params: RefinementParams) -> RefinementCertificate:
     """Run the refinement to a stopping witness and certify every step.
 
-    The guarantees assume ratio_denominator >= omega_cap (the defaults are
-    equal); with a smaller ratio the chain can strand itself on one member
-    with no unused prime, which raises DomainError.
+    Raises NotDisjointError with a concrete intersecting pair when some
+    member shares no new prime with the chosen one, which is impossible for
+    a disjoint input.  The guarantees assume ratio_denominator >= omega_cap
+    (the defaults are equal); with a smaller ratio the chain can strand
+    itself on one member with no unused prime, which raises DomainError.
     """
-    base, primes_of = _eligible(family, params)
+    base, primes = _eligible(family, params)
+    q, a = base.q, base.a
     # the certificate's own Progressions, not the family's items view
-    base_items = tuple(map(Progression, base.a, base.q))
-    members = list(base_items)
-    if not members:
+    base_items = tuple(map(Progression, a, q))
+    if not q:
         return RefinementCertificate(
             params=params, base=(), steps=(), t=0, witness_prime=None, divisible_count=0
         )
+    members = range(len(q))
     steps: list[RefinementStep] = []
     used: tuple[int, ...] = ()
     combined = 0
     while True:
-        hit = _stop_witness(members, used, params, primes_of)
+        hit = _stop_witness(members, used, params, primes)
         if hit is not None:
             # hit is the witness prime and its divisible count
             return RefinementCertificate(params, base_items, tuple(steps), len(steps), *hit)
@@ -283,11 +227,35 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
                 "refinement stalled on one member with no qualifying prime; "
                 "requires ratio_denominator >= omega_cap to be guaranteed"
             )
-        step = _refine_step(members, used, combined, primes_of)
-        members = _in_class(members, step.prime, step.residue_class, primes_of)
-        used = used + (step.prime,)
-        combined = step.combined_residue
-        steps.append(step)
+        # every member is pinned to combined mod the used primes, each of
+        # which divides it, so the fewest primes leave the fewest candidates;
+        # min takes the first, smallest modulus, of the members tied
+        chosen = min(members, key=lambda i: len(primes[i]))
+        candidates = _candidates(primes[chosen], used)
+        other = _first_uncovered(members, chosen, candidates, primes)
+        if other is not None:
+            # both members agree modulo every prime of the gcd, hence intersect
+            merged = crt_pair(a[chosen], q[chosen], a[other], q[other])
+            raise NotDisjointError(base_items[chosen], base_items[other], merged[0])
+
+        counts = _prime_counts(members, primes)
+        prime = min(candidates, key=lambda e: (-counts[e], e))
+        sizes = Counter(a[i] % prime for i in _divisible(members, prime, primes))
+        residue_class = min(sizes, key=lambda b: (-sizes[b], b))
+        members = _in_class(members, prime, residue_class, a, primes)
+        combined = crt_pair(combined, math.prod(used), residue_class, prime)[0]
+        used += (prime,)
+        steps.append(
+            RefinementStep(
+                index=len(used),
+                chosen_modulus=q[chosen],
+                candidate_primes=candidates,
+                prime=prime,
+                residue_class=residue_class,
+                combined_residue=combined,
+                survivors=tuple([q[i] for i in members]),
+            )
+        )
 
 
 def check_certificate(cert: RefinementCertificate, family: Family) -> CertificateCheck:
@@ -303,13 +271,11 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     params = cert.params
     ratio = params.ratio_denominator
     try:
-        expected_base, primes_of = _eligible(family, params)
+        expected_base, primes = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
-    if (
-        tuple(pr.modulus for pr in cert.base) != expected_base.q
-        or tuple(pr.residue for pr in cert.base) != expected_base.a
-    ):
+    q, a = expected_base.q, expected_base.a
+    if tuple(pr.modulus for pr in cert.base) != q or tuple(pr.residue for pr in cert.base) != a:
         return CertificateCheck(False, "base")
     if cert.t != len(cert.steps):
         return CertificateCheck(False, "structure")
@@ -321,21 +287,22 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     # each step's survivors are members of the previous set in one class
     # mod a new prime, so checking combined_residue against the previous
     # residue and the class pins every survivor modulo the new product
-    current = cert.base
+    current = range(len(q))
     used: list[int] = []
     product = 1
     combined = 0
     strict = True
     for k, step in enumerate(cert.steps, start=1):
-        if step.index != k or step.chosen_modulus not in {pr.modulus for pr in current}:
+        if step.index != k or step.chosen_modulus not in {q[i] for i in current}:
             return CertificateCheck(False, "structure")
-        candidates = _candidates(step.chosen_modulus, used, primes_of)
+        chosen = bisect.bisect_left(q, step.chosen_modulus)
+        candidates = _candidates(primes[chosen], used)
         if step.candidate_primes != candidates or step.prime not in candidates:
             return CertificateCheck(False, "candidates")
-        if _first_uncovered(current, step.chosen_modulus, candidates, primes_of) is not None:
+        if _first_uncovered(current, chosen, candidates, primes) is not None:
             return CertificateCheck(False, "covering")
-        survivors = _in_class(current, step.prime, step.residue_class, primes_of)
-        if step.survivors != tuple(pr.modulus for pr in survivors):
+        survivors = _in_class(current, step.prime, step.residue_class, a, primes)
+        if step.survivors != tuple([q[i] for i in survivors]):
             return CertificateCheck(False, "survivors")
         new_product = product * step.prime
         if (
@@ -355,7 +322,7 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         combined = step.combined_residue
 
     # a missing witness divides no survivor, so the first test rejects it
-    count = len(_divisible(current, cert.witness_prime, primes_of))
+    count = len(_divisible(current, cert.witness_prime, primes))
     if count != cert.divisible_count or count * ratio < len(current):
         return CertificateCheck(False, "Property 4", strict)
     if cert.witness_prime in used or cert.witness_prime < params.prime_floor:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .construction import ConstructionParams, build_construction
 from .family import Family
 
 X_MAX_EXACT = 64
@@ -139,12 +138,3 @@ def brute_force_oracle(x: int) -> int:
     rec(2)
     return best
 
-
-def lower_bound_from_construction(x: int) -> int:
-    """Size of the default construction at x; never better than the optimum."""
-    if x < 16:
-        raise DomainError(f"construction lower bound needs x >= 16, got {x}")
-    try:
-        return build_construction(ConstructionParams(x=x)).size
-    except DomainError:
-        return 1  # the single progression 0 mod 2 always qualifies

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import decimal
 import hashlib
 import io
 import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +241,25 @@ class TestVerifyExitCodes:
             assert crt_pair(w["a_i"], w["q_i"], w["a_j"], w["q_j"])[0] == w["common"]
         else:
             assert err.getvalue().startswith("error:")
+
+    def test_witness_past_the_digit_limit(self, path, capsys):
+        # the common element has about 8400 digits, past int's 4300-digit
+        # limit on conversion to text: it prints in full, and the limit,
+        # which guards reading, is left as it was
+        q_i, q_j = 10**4200 + 1, 10**4200 + 3
+        path.write_text(f'{{"x": {q_j}, "count": 2}}\n{{"q": {q_i}, "a": 1}}\n{{"q": {q_j}, "a": 0}}\n')
+        limit = sys.get_int_max_str_digits()
+        code = main(["verify", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        # Decimal reads a number of any length, and int() of it is exact
+        w = json.loads(out, parse_int=decimal.Decimal)["witness"]
+        assert (int(w["q_i"]), int(w["a_i"]), int(w["q_j"]), int(w["a_j"])) == (q_i, 1, q_j, 0)
+        common = int(w["common"])
+        assert common % q_i == 1 and common % q_j == 0 and 0 <= common < q_i * q_j
+        assert sys.get_int_max_str_digits() == limit
+        path.write_text('{"x": 8, "count": 1}\n{"q": 7, "a": ' + "1" * 5000 + "}\n")
+        assert main(["verify", "--in", str(path)]) == 2
 
 
 class TestSolve:

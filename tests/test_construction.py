@@ -11,12 +11,11 @@ from apfam.construction import (
     assign_residue,
     build_construction,
     choose_prime,
-    enumerate_moduli,
     truncated_construction,
 )
 from apfam.errors import CapacityError, DomainError
 from apfam.family import Family, density, dumps_family, family_digest, verify_family
-from apfam.numtheory import l_scale
+from apfam.numtheory import factorize, l_scale
 
 X100 = [(0, 5), (2, 10), (3, 15), (4, 20), (8, 30), (39, 60)]
 
@@ -57,56 +56,50 @@ class TestChoosePrime:
             assert sympy.nextprime(p) > l_scale(params.c, x)
 
 
+def moduli(params):
+    return list(build_construction(params).family.q)
+
+
 class TestEnumerateModuli:
+    # the construction's moduli: q = p*m <= x with every prime-power factor
+    # of m below the anchor p
     def test_x_100(self):
-        params = ConstructionParams(x=100)
-        assert enumerate_moduli(params, 5) == [5, 10, 15, 20, 30, 60]
+        assert moduli(ConstructionParams(x=100)) == [5, 10, 15, 20, 30, 60]
 
     def test_squarefree(self):
-        params = ConstructionParams(x=100, squarefree_only=True)
-        assert enumerate_moduli(params, 5) == [5, 10, 15, 30]
+        assert moduli(ConstructionParams(x=100, squarefree_only=True)) == [5, 10, 15, 30]
 
     def test_exclude_anchor(self):
-        params = ConstructionParams(x=100, include_p_itself=False)
-        assert enumerate_moduli(params, 5) == [10, 15, 20, 30, 60]
+        assert moduli(ConstructionParams(x=100, include_p_itself=False)) == [10, 15, 20, 30, 60]
 
     def test_anchor_beyond_x_gives_nothing(self):
-        assert enumerate_moduli(ConstructionParams(x=16), 31) == []
+        # c = 3 puts the anchor at 151, past x = 16
+        result = build_construction(ConstructionParams(x=16, c=3))
+        assert result.p == 151 and result.family.q == ()
 
     def test_membership_rule(self):
         # every q = p*m <= x with prime-power factors of m below p, and no others
         params = ConstructionParams(x=10**4)
-        got = enumerate_moduli(params, 23)
+        assert choose_prime(params) == 23
         expected = []
         for m in range(1, 10**4 // 23 + 1):
             if all(p**e < 23 for p, e in sympy.factorint(m).items()):
                 expected.append(23 * m)
-        assert got == expected
+        assert moduli(params) == expected
 
     def test_count_at_1e6(self):
-        params = ConstructionParams(x=10**6)
-        assert len(enumerate_moduli(params, 67)) == 2961
-
-    def test_composite_anchor(self):
-        # the moduli need no residue, so any anchor walks; 10 is not prime
-        got = enumerate_moduli(ConstructionParams(x=300), 10)
-        assert got == [10 * m for m in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30)]
+        assert len(moduli(ConstructionParams(x=10**6))) == 2961
 
     @pytest.mark.parametrize("squarefree", [False, True])
     @pytest.mark.parametrize("include_p", [False, True])
     def test_capacity_fires_past_the_limit(self, monkeypatch, squarefree, include_p):
         # the limit counts every m the walk reaches, m = 1 included
         params = ConstructionParams(x=10**5, squarefree_only=squarefree, include_p_itself=include_p)
-        p = choose_prime(params)
-        nodes = len(enumerate_moduli(params, p)) + (not include_p)
+        nodes = len(moduli(params)) + (not include_p)
         monkeypatch.setattr(construction, "MODULI_LIMIT", nodes)
-        enumerate_moduli(params, p)
         build_construction(params)
         monkeypatch.setattr(construction, "MODULI_LIMIT", nodes - 1)
-        message = f"more than {nodes - 1} moduli at x=100000"
-        with pytest.raises(CapacityError, match=message):
-            enumerate_moduli(params, p)
-        with pytest.raises(CapacityError, match=message):
+        with pytest.raises(CapacityError, match=f"more than {nodes - 1} moduli at x=100000"):
             build_construction(params)
 
 
@@ -189,7 +182,14 @@ class TestBuildConstruction:
         except DomainError:
             assume(False)
         result = build_construction(params)
-        expected = [assign_residue(q, result.p) for q in enumerate_moduli(params, result.p)]
+        p = result.p
+        # q = p*m for every m <= x // p whose prime powers (primes, when
+        # squarefree) all lie below p
+        expected = []
+        for m in range(1 if include_p else 2, x // p + 1):
+            parts = factorize(m).parts
+            if all(r**e < p and (e == 1 or not squarefree) for r, e in parts):
+                expected.append(assign_residue(p * m, p))
         assert result.family == Family(tuple(expected), x)
 
     def test_residues_come_from_the_walk(self, monkeypatch):

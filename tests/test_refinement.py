@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 
@@ -26,7 +27,6 @@ from apfam.refinement import (
     check_certificate,
     filter_eligible,
     read_certificate,
-    refine_step,
     write_certificate,
 )
 
@@ -64,6 +64,80 @@ def eligible_per_member(family, params):
         if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
             primes_of[pr.modulus] = primes
     return primes_of
+
+
+def prime_factors(q):
+    return [p for p, _ in factorize(q).parts]
+
+
+def reference_step(members, used, combined):
+    # one step of the module docstring's refinement, on Progressions, with
+    # divisibility tested by %; the certificate's step as JSON data
+    chosen = min(members, key=lambda pr: (len(prime_factors(pr.modulus)), pr.modulus))
+    candidates = [p for p in prime_factors(chosen.modulus) if p not in used]
+    for pr in members:
+        if pr != chosen and all(pr.modulus % e for e in candidates):
+            # the two agree modulo every prime they share, so they meet
+            common = next(n for n in itertools.count(chosen.residue, chosen.modulus) if pr.contains(n))
+            raise NotDisjointError(chosen, pr, common)
+    # max keeps the first of the tied, so ascending order breaks ties low
+    prime = max(sorted(candidates), key=lambda e: sum(pr.modulus % e == 0 for pr in members))
+    classes = {}
+    for pr in members:
+        if pr.modulus % prime == 0:
+            classes.setdefault(pr.residue % prime, []).append(pr)
+    residue_class = max(sorted(classes), key=lambda b: len(classes[b]))
+    product = math.prod(used)
+    merged = combined + product * ((residue_class - combined) * pow(product, -1, prime) % prime)
+    return {
+        "index": len(used) + 1,
+        "chosen_modulus": chosen.modulus,
+        "candidate_primes": candidates,
+        "prime": prime,
+        "residue_class": residue_class,
+        "combined_residue": merged,
+        "survivors": sorted(pr.modulus for pr in classes[residue_class]),
+    }
+
+
+def reference_chain(family, params):
+    # the module docstring's refinement run slowly, as a certificate's JSON
+    # data; raises DomainError where the chain stalls
+    eligible = eligible_per_member(family, params)
+    base = [pr for pr in family.items if pr.modulus in eligible]
+    members, steps, used, combined = base, [], [], 0
+    witness, count = None, 0
+    while members:
+        primes = sorted({p for pr in members for p in prime_factors(pr.modulus)})
+        counts = {
+            p: sum(pr.modulus % p == 0 for pr in members)
+            for p in primes
+            if p >= params.prime_floor and p not in used
+        }
+        witness = max(counts, key=counts.get, default=None)
+        if witness is not None and counts[witness] * params.ratio_denominator >= len(members):
+            count = counts[witness]
+            break
+        if len(members) < 2:
+            raise DomainError("refinement stalled")
+        step = reference_step(members, used, combined)
+        members = [pr for pr in members if pr.modulus in step["survivors"]]
+        used.append(step["prime"])
+        combined = step["combined_residue"]
+        steps.append(step)
+    return {
+        "params": {
+            "x": params.x,
+            "omega_cap": params.omega_cap,
+            "prime_floor": params.prime_floor,
+            "ratio_denominator": params.ratio_denominator,
+        },
+        "base": [[pr.modulus, pr.residue] for pr in base],
+        "steps": steps,
+        "t": len(steps),
+        "witness_prime": witness,
+        "divisible_count": count,
+    }
 
 
 def stepped(x):
@@ -165,9 +239,9 @@ class TestEligibleAgainstPerMember:
             with pytest.raises(DomainError, match=str(err)):
                 filter_eligible(f, params)
             return
-        kept, primes_of = _eligible(f, params)
+        kept, primes = _eligible(f, params)
         assert kept.moduli() == list(expected)
-        assert primes_of == expected
+        assert primes == list(expected.values())
 
     def test_not_squarefree_before_oversized_fails_the_base(self):
         # member order decides: the modulus 12 fails before 10**12 + 1 is reached
@@ -184,35 +258,79 @@ class TestEligibleAgainstPerMember:
 
 
 class TestRefineStep:
+    # the reference's own steps; build_chain is compared with it below
     def test_three_member_trace(self):
         f = three_member()
         assert verify_family(f).ok
-        step = refine_step(list(f.items), (), 0)
-        assert step.index == 1
-        assert step.chosen_modulus == 802
-        assert step.candidate_primes == (2, 401)
-        assert step.prime == 401
+        step = reference_step(list(f.items), [], 0)
+        assert step["index"] == 1
+        assert step["chosen_modulus"] == 802
+        assert step["candidate_primes"] == [2, 401]
+        assert step["prime"] == 401
         # class 3 mod 401 holds both 1203 and 2406; class 2 only 802
-        assert step.residue_class == 3
-        assert step.survivors == (1203, 2406)
-        assert step.combined_residue == step.residue_class
-
-    def test_needs_two_members(self):
-        with pytest.raises(DomainError):
-            refine_step([Progression(2, 802)], (), 0)
-
-    def test_rejects_unpinned_members(self):
-        members = [Progression(2, 802), Progression(3, 1203)]
-        with pytest.raises(DomainError):
-            refine_step(members, (5,), 0)
+        assert step["residue_class"] == 3
+        assert step["survivors"] == [1203, 2406]
+        assert step["combined_residue"] == step["residue_class"]
 
     def test_covering_violation_reports_pair(self):
         # coprime moduli always intersect; the step must say so concretely
         members = [Progression(1, 802), Progression(1, 1227)]
         with pytest.raises(NotDisjointError) as err:
-            refine_step(members, (), 0)
+            reference_step(members, [], 0)
         assert err.value.common == 1
         assert {err.value.first.modulus, err.value.second.modulus} == {802, 1227}
+
+
+ANCHORS = (1009, 1013, 1019, 1021, 1031, 1033)
+
+
+@st.composite
+def disjoint_squarefree(draw):
+    # members shared * extra * ANCHORS[g] with residue g + shared * k, each
+    # kept when disjoint from those kept so far; members of one anchor with
+    # distinct k never meet, so families grow large enough to take steps
+    shared = math.prod(draw(st.sets(st.sampled_from((2, 3, 5)), min_size=1, max_size=2)))
+    members = st.tuples(
+        st.integers(0, len(ANCHORS) - 1),
+        st.sampled_from((1, 7, 11, 13)),
+        st.integers(0, 50),
+    )
+    kept = []
+    for g, extra, k in draw(st.lists(members, max_size=60)):
+        q = shared * extra * ANCHORS[g]
+        a = (g + shared * k) % q
+        if all(q != m and (a - b) % math.gcd(q, m) for b, m in kept):
+            kept.append((a, q))
+    return kept
+
+
+# the chain steps on 7 and then 5 before 401 stops it
+TWO_STEPS = ([(11, 3 * 5 * 7), (10, 5 * 7 * 401), (3, 5 * 7 * 409), (12, 7 * 101 * 401)], 4, 10, 1)
+
+
+class TestChainAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        disjoint_squarefree(),
+        st.sampled_from((2.5, 4, 5, 6)),
+        st.sampled_from((10, 11, 100, 1000)),
+        st.sampled_from((0.9, 1, 1.5, 2, 4)),
+    )
+    @example(*TWO_STEPS)
+    def test_certificate_matches_reference(self, pairs, omega_cap, prime_floor, ratio):
+        family = fam(pairs, max((q for _, q in pairs), default=16))
+        params = RefinementParams(
+            x=16, omega_cap=omega_cap, prime_floor=prime_floor, ratio_denominator=ratio
+        )
+        try:
+            expected = reference_chain(family, params)
+        except DomainError:
+            with pytest.raises(DomainError, match="stalled"):
+                build_chain(family, params)
+            return
+        cert = build_chain(family, params)
+        assert certificate_to_dict(cert) == expected
+        assert check_certificate(cert, family).ok
 
 
 class TestBuildChain:

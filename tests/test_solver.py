@@ -1,13 +1,9 @@
 import pytest
 
+from apfam.construction import ConstructionParams, build_construction
 from apfam.errors import CapacityError, DomainError
 from apfam.family import density, verify_family
-from apfam.solver import (
-    SearchConfig,
-    brute_force_oracle,
-    lower_bound_from_construction,
-    solve_exact,
-)
+from apfam.solver import SearchConfig, brute_force_oracle, solve_exact
 
 # x <= 20: frozen from the exhaustive oracle during development.
 # 21..30: the earlier solver (a walk over every modulus under exact Fraction
@@ -95,10 +91,15 @@ class TestSolveExact:
             SearchConfig(x=10, node_budget=0)
 
 
+def construction_size(x):
+    return build_construction(ConstructionParams(x=x)).size
+
+
 class TestLowerBound:
+    # the default construction is a lower bound on the exact optimum
     def test_never_exceeds_exact(self):
         for x in (16, 18, 20):
-            assert lower_bound_from_construction(x) <= solve_exact(SearchConfig(x=x)).k_max
+            assert construction_size(x) <= solve_exact(SearchConfig(x=x)).k_max
 
     def test_x64_budgeted_run_stays_above_construction(self):
         # exact completion at 64 is out of reach; a budgeted run must still
@@ -106,12 +107,8 @@ class TestLowerBound:
         result = solve_exact(SearchConfig(x=64, node_budget=200_000))
         assert not result.proven_optimal
         assert verify_family(result.witness).ok
-        assert result.k_max >= lower_bound_from_construction(64)
+        assert result.k_max >= construction_size(64)
 
     def test_value_at_16(self):
         # anchor prime 3, moduli {3, 6}
-        assert lower_bound_from_construction(16) == 2
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lower_bound_from_construction(15)
+        assert construction_size(16) == 2
