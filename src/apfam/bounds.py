@@ -17,16 +17,10 @@ import numpy as np
 from .construction import ConstructionParams, build_construction
 from .errors import CapacityError, DomainError
 from .family import Family
-from .numtheory import factor_table, factorize, l_scale, psi, psi_star, sieve_primes
+from .numtheory import factor_table, factorize, l_scale, omega_threshold, psi, psi_star, sieve_primes
 
 OMEGA_TABLE_LIMIT = 50_000_000
 MAJORANT_CUTOFF = 1e-30
-
-
-def omega_threshold(x: int, c: float) -> float:
-    """The tail threshold c * sqrt(log x / log log x)."""
-    lx = math.log(x)
-    return c * math.sqrt(lx / math.log(lx))
 
 
 def omega_tail_count(x: int, c: float) -> int:
@@ -91,8 +85,11 @@ def omega_tail_majorant(x: int, c: float) -> float:
     if not c > 0:
         raise DomainError(f"threshold coefficient must be positive, got {c}")
     m = prime_power_reciprocal_sum(x)
-    j = int(math.floor(omega_threshold(x, c))) + 1
-    term = math.exp(j * math.log(m) - math.lgamma(j + 1))
+    try:
+        j = int(math.floor(omega_threshold(x, c))) + 1
+        term = math.exp(j * math.log(m) - math.lgamma(j + 1))
+    except OverflowError as exc:
+        raise CapacityError(f"the omega threshold at c={c} lies past the float range") from exc
     total = 0.0
     while term > 0.0:
         total += term
@@ -222,16 +219,17 @@ def _one_row(kind: str, x: int, c: float) -> CountsRow:
     elif kind == "omega_tail":
         exact = omega_tail_count(x, c)
         predicted = x / l_scale(c / 2, x)
-    elif kind == "f_lower":
+    else:  # f_lower: bounds_report has checked the kind
         exact = build_construction(ConstructionParams(x=x, c=c)).size
         predicted = x / l_scale(c + 1 / (2 * c), x)
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
     return CountsRow(kind=kind, x=x, c=c, exact=exact, predicted=predicted)
 
 
-def bounds_report(x_values, c_values, kinds=("psi", "psistar", "omega_tail")) -> list[CountsRow]:
-    """Exact counts next to their predicted scale, one row per (kind, x, c)."""
+def bounds_report(x_values, c_values, kinds=KINDS[:3]) -> list[CountsRow]:
+    """Exact counts next to their predicted scale, one row per (kind, x, c).
+
+    The kinds default to the three counts, every kind but f_lower.
+    """
     for kind in kinds:
         if kind not in KINDS:
             raise DomainError(f"unknown kind {kind!r}")

@@ -8,13 +8,14 @@ success, 1 on a semantic failure (intersection found, certificate rejected),
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import time
 
 from . import __version__
-from .bounds import _choose_and_reduce, bounds_report, rows_to_csv, squarefull_reduce
+from .bounds import KINDS, _choose_and_reduce, bounds_report, rows_to_csv, squarefull_reduce
 from .construction import (
     ConstructionParams,
     build_construction,
@@ -71,26 +72,10 @@ def _emit(payload: dict) -> None:
 
 def cmd_construct(args) -> int:
     started = time.perf_counter()
-    params = ConstructionParams(
-        x=args.x,
-        c=args.c,
-        squarefree_only=args.squarefree_only,
-        include_p_itself=args.include_p,
-    )
+    params = ConstructionParams(x=args.x, c=args.c, squarefree_only=args.squarefree_only)
     result = build_construction(params)
     write_family(result.family, args.out)
-    _write_manifest(
-        args.out,
-        "construct",
-        {
-            "x": args.x,
-            "c": args.c,
-            "squarefree_only": args.squarefree_only,
-            "include_p_itself": args.include_p,
-        },
-        [],
-        started,
-    )
+    _write_manifest(args.out, "construct", dataclasses.asdict(params), [], started)
     _emit(result.summary() | {"out": args.out})
     return 0
 
@@ -195,13 +180,14 @@ def cmd_check_cert(args) -> int:
 def cmd_counts(args) -> int:
     started = time.perf_counter()
     kind = args.kind.replace("-", "_")
-    rows = bounds_report(args.x, args.c, kinds=[kind])
+    c_values = args.c or [1.0]
+    rows = bounds_report(args.x, c_values, kinds=[kind])
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         _write_manifest(
-            args.out, "counts", {"kind": kind, "x": args.x, "c": args.c}, [], started
+            args.out, "counts", {"kind": kind, "x": args.x, "c": c_values}, [], started
         )
         _emit({"rows": len(rows), "out": args.out})
     else:
@@ -261,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--c", type=float, default=ConstructionParams.c)
     p.add_argument("--squarefree-only", action="store_true")
-    p.add_argument("--include-p", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -290,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("counts", "exact counts against predicted scales")
     p.add_argument(
-        "--kind",
-        choices=("psi", "psistar", "omega-tail", "f-lower"),
-        required=True,
+        "--kind", choices=[k.replace("_", "-") for k in KINDS], required=True
     )
     p.add_argument("--x", type=int, action="append", required=True)
     p.add_argument("--c", type=float, action="append", default=None)
@@ -318,8 +301,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "c", None) is None and args.command == "counts":
-        args.c = [1.0]
     try:
         return args.func(args)
     except NotDisjointError as exc:

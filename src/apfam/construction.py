@@ -25,7 +25,6 @@ class ConstructionParams:
     x: int
     c: float = DEFAULT_C
     squarefree_only: bool = False
-    include_p_itself: bool = True
 
     def __post_init__(self):
         if self.x < 16:
@@ -77,16 +76,14 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
             c *= r
     table.sort()
     n = len(table)
-    include_p = params.include_p_itself
     append_q = moduli.append
     append_a = residues.append
     count = 0
 
     def rec(i, m, res, top, inv):
         nonlocal count
-        if m > 1 or include_p:
-            append_q(p * m)
-            append_a(res + m * ((top - res) * inv % p))
+        append_q(p * m)
+        append_a(res + m * ((top - res) * inv % p))
         count += 1
         if count > MODULI_LIMIT:
             raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
@@ -156,7 +153,7 @@ def build_construction(params: ConstructionParams) -> ConstructionResult:
     return ConstructionResult(family=family, p=p, predicted_size=predicted)
 
 
-def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
+def truncated_construction(k: int) -> Family:
     """A disjoint family of exactly k members, for benchmarking verify.
 
     Grows x until the construction has at least k moduli and keeps the k
@@ -165,7 +162,7 @@ def truncated_construction(k: int, c: float = DEFAULT_C) -> Family:
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     for x in (10**6, 10**7, 10**8, 10**9):
-        params = ConstructionParams(x=x, c=c)
+        params = ConstructionParams(x=x)
         moduli, residues = _walk(params, choose_prime(params))
         if len(moduli) >= k:
             moduli, residues = _sorted_columns(moduli, residues)

@@ -77,9 +77,6 @@ class Factorization:
     def prime_powers(self) -> list[int]:
         return [p**e for p, e in self.parts]
 
-    def primes(self) -> list[int]:
-        return sorted(p for p, _ in self.parts)
-
 
 def factorize(n: int) -> Factorization:
     """Full factorization by trial division; parts sorted by p**e ascending."""
@@ -173,13 +170,6 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
     )
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    if n < 1:
-        raise DomainError(f"omega undefined for {n}")
-    return len(factorize(n).parts)
-
-
 def crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int] | None:
     """Merge two residue constraints, or None when they are incompatible.
 
@@ -210,9 +200,19 @@ def l_scale(c: float, x: float) -> float:
         raise DomainError(f"scale needs x >= 16, got {x}")
     lx = math.log(x)
     try:
-        return math.exp(c * math.sqrt(lx * math.log(lx)))
-    except OverflowError as exc:
-        raise CapacityError(f"L({c}, {x}) exceeds the float range") from exc
+        value = math.exp(c * math.sqrt(lx * math.log(lx)))
+    except OverflowError:
+        value = math.inf
+    # exp raises past float range, but returns inf for an exponent already inf
+    if value == math.inf:
+        raise CapacityError(f"L({c}, {x}) exceeds the float range")
+    return value
+
+
+def omega_threshold(x: int, c: float) -> float:
+    """The tail threshold c * sqrt(log x / log log x)."""
+    lx = math.log(x)
+    return c * math.sqrt(lx / math.log(lx))
 
 
 def _bound_primes(y: float) -> tuple[int, ...]:

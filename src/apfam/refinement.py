@@ -29,15 +29,15 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
 from .family import Family, Progression, _require_int
-from .numtheory import FACTOR_LIMIT, FactorTable, crt_pair, factor_table
+from .numtheory import FACTOR_LIMIT, FactorTable, crt_pair, factor_table, l_scale, omega_threshold
 
 
 @dataclass(frozen=True)
 class RefinementParams:
     """Thresholds for the base-set filter and the stopping rule.
 
-    Defaults follow the scale s = sqrt(log x / log log x): omega_cap and
-    ratio_denominator default to s, prime_floor to exp(sqrt(log x log log x)).
+    omega_cap and ratio_denominator default to the omega threshold
+    sqrt(log x / log log x), and prime_floor to L(1, x).
     """
 
     x: int
@@ -48,14 +48,12 @@ class RefinementParams:
     def __post_init__(self):
         if self.x < 16:
             raise DomainError(f"refinement needs x >= 16, got {self.x}")
-        lx = math.log(self.x)
-        scale = math.sqrt(lx / math.log(lx))
         if self.omega_cap is None:
-            object.__setattr__(self, "omega_cap", scale)
+            object.__setattr__(self, "omega_cap", omega_threshold(self.x, 1))
         if self.prime_floor is None:
-            object.__setattr__(self, "prime_floor", math.exp(math.sqrt(lx * math.log(lx))))
+            object.__setattr__(self, "prime_floor", l_scale(1, self.x))
         if self.ratio_denominator is None:
-            object.__setattr__(self, "ratio_denominator", scale)
+            object.__setattr__(self, "ratio_denominator", omega_threshold(self.x, 1))
         for name in ("omega_cap", "prime_floor", "ratio_denominator"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")

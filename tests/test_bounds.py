@@ -154,6 +154,12 @@ class TestMajorant:
         with pytest.raises(DomainError):
             omega_tail_majorant(100, -1)
 
+    @pytest.mark.parametrize("c", [1e306, 1e308, math.inf])
+    def test_threshold_past_float_range(self, c):
+        # the threshold, or the log-factorial of the first term, is past float range
+        with pytest.raises(CapacityError, match="past the float range"):
+            omega_tail_majorant(1000, c)
+
 
 class TestSplitSquarefull:
     def test_examples(self):

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from apfam import bounds
 from apfam.cli import build_parser, main
-from apfam.construction import ConstructionParams, assign_residue, build_construction
+from apfam.construction import DEFAULT_C, ConstructionParams, assign_residue, build_construction
 from apfam.numtheory import crt_pair
 from apfam.family import (
     Family,
@@ -26,7 +28,8 @@ from apfam.family import (
     write_family,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 X100_FILE = (
     '{"x": 100, "count": 6}\n'
@@ -59,7 +62,7 @@ class TestConstruct:
         assert out_file.read_bytes().decode() == X100_FILE
         manifest = json.loads((tmp_path / "fam.jsonl.manifest.json").read_text())
         assert manifest["command"] == "construct"
-        assert manifest["parameters"]["x"] == 100
+        assert manifest["parameters"] == {"x": 100, "c": DEFAULT_C, "squarefree_only": False}
         assert str(out_file) in manifest["outputs"]
 
     def test_deterministic(self, tmp_path, capsys):
@@ -79,13 +82,14 @@ class TestConstruct:
         )
         assert code == 0 and last_json(out)["t"] == 4
 
-    def test_exclude_anchor_flag(self, tmp_path, capsys):
-        out_file = tmp_path / "nop.jsonl"
-        code, out = run(
-            capsys, "construct", "--x", "100", "--no-include-p", "--out", str(out_file)
-        )
-        assert code == 0 and last_json(out)["t"] == 5
-        assert read_family(out_file).moduli() == [10, 15, 20, 30, 60]
+    @pytest.mark.parametrize("flag", ["--include-p", "--no-include-p"])
+    def test_anchor_flag_is_gone(self, tmp_path, capsys, flag):
+        # the bare anchor p is always a member; no switch drops it
+        out_file = tmp_path / "f.jsonl"
+        code = main(["construct", "--x", "100", flag, "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 2 and "unrecognized arguments" in err and "Traceback" not in err
+        assert not out_file.exists()
 
 
 class TestVerify:
@@ -524,7 +528,8 @@ class TestCounts:
         code, _ = run(capsys, "counts", "--kind", "psi", "--x", "10")
         assert code == 2
 
-    @pytest.mark.parametrize("c", ["nan", "inf", "1e300"])
+    # 1e308 overflows the exponent of L(c, x) itself, which exp turns into inf
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e308"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -614,6 +619,47 @@ class TestParsing:
             capsys, "construct", "--x", "100", "--squarefree", "--out", str(tmp_path / "f")
         )
         assert code == 2
+
+
+def run_process(*argv, cwd):
+    """python -m apfam in a fresh interpreter: its exit code and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apfam", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestProcess:
+    # the exit codes as a shell sees them, through __main__.py
+    def test_version_exit_0(self, tmp_path):
+        code, err = run_process("--version", cwd=tmp_path)
+        assert code == 0 and "Traceback" not in err
+
+    def test_construct_then_verify_exit_0(self, tmp_path):
+        code, err = run_process("construct", "--x", "1000", "--out", "f.jsonl", cwd=tmp_path)
+        assert code == 0 and "Traceback" not in err
+        code, err = run_process("verify", "--in", "f.jsonl", cwd=tmp_path)
+        assert code == 0 and "Traceback" not in err
+
+    def test_intersection_exit_1(self, tmp_path):
+        (tmp_path / "bad.jsonl").write_text(
+            '{"x": 10, "count": 2}\n{"q": 2, "a": 1}\n{"q": 3, "a": 1}\n', encoding="utf-8"
+        )
+        code, err = run_process("verify", "--in", "bad.jsonl", cwd=tmp_path)
+        assert code == 1 and "Traceback" not in err
+
+    def test_budget_exhausted_exit_3(self, tmp_path):
+        code, err = run_process("solve", "--x", "30", "--budget", "1", cwd=tmp_path)
+        assert code == 3 and "Traceback" not in err
+
+    def test_scale_past_float_range_exit_2(self, tmp_path):
+        code, err = run_process(
+            "construct", "--x", "1000", "--c", "1e308", "--out", "f.jsonl", cwd=tmp_path
+        )
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestReadme:

@@ -28,7 +28,7 @@ class TestParams:
     def test_defaults(self):
         p = ConstructionParams(x=100)
         assert p.c == pytest.approx(1 / math.sqrt(2))
-        assert not p.squarefree_only and p.include_p_itself
+        assert not p.squarefree_only
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -69,9 +69,6 @@ class TestEnumerateModuli:
     def test_squarefree(self):
         assert moduli(ConstructionParams(x=100, squarefree_only=True)) == [5, 10, 15, 30]
 
-    def test_exclude_anchor(self):
-        assert moduli(ConstructionParams(x=100, include_p_itself=False)) == [10, 15, 20, 30, 60]
-
     def test_anchor_beyond_x_gives_nothing(self):
         # c = 3 puts the anchor at 151, past x = 16
         result = build_construction(ConstructionParams(x=16, c=3))
@@ -91,11 +88,10 @@ class TestEnumerateModuli:
         assert len(moduli(ConstructionParams(x=10**6))) == 2961
 
     @pytest.mark.parametrize("squarefree", [False, True])
-    @pytest.mark.parametrize("include_p", [False, True])
-    def test_capacity_fires_past_the_limit(self, monkeypatch, squarefree, include_p):
+    def test_capacity_fires_past_the_limit(self, monkeypatch, squarefree):
         # the limit counts every m the walk reaches, m = 1 included
-        params = ConstructionParams(x=10**5, squarefree_only=squarefree, include_p_itself=include_p)
-        nodes = len(moduli(params)) + (not include_p)
+        params = ConstructionParams(x=10**5, squarefree_only=squarefree)
+        nodes = len(moduli(params))
         monkeypatch.setattr(construction, "MODULI_LIMIT", nodes)
         build_construction(params)
         monkeypatch.setattr(construction, "MODULI_LIMIT", nodes - 1)
@@ -174,11 +170,10 @@ class TestBuildConstruction:
         x=st.integers(min_value=16, max_value=200_000),
         c=st.floats(min_value=0.4, max_value=1.5),
         squarefree=st.booleans(),
-        include_p=st.booleans(),
     )
-    def test_matches_per_member_oracle(self, x, c, squarefree, include_p):
+    def test_matches_per_member_oracle(self, x, c, squarefree):
         try:
-            params = ConstructionParams(x=x, c=c, squarefree_only=squarefree, include_p_itself=include_p)
+            params = ConstructionParams(x=x, c=c, squarefree_only=squarefree)
         except DomainError:
             assume(False)
         result = build_construction(params)
@@ -186,7 +181,7 @@ class TestBuildConstruction:
         # q = p*m for every m <= x // p whose prime powers (primes, when
         # squarefree) all lie below p
         expected = []
-        for m in range(1 if include_p else 2, x // p + 1):
+        for m in range(1, x // p + 1):
             parts = factorize(m).parts
             if all(r**e < p and (e == 1 or not squarefree) for r, e in parts):
                 expected.append(assign_residue(p * m, p))

@@ -14,7 +14,6 @@ from apfam.numtheory import (
     factor_table,
     factorize,
     l_scale,
-    omega,
     psi,
     psi_star,
     sieve_primes,
@@ -75,7 +74,6 @@ class TestFactorize:
         for p, e in fact.parts:
             product *= p**e
         assert product == n
-        assert omega(n) == len(fact.parts)
         values = fact.prime_powers()
         assert values == sorted(values)
 
@@ -187,18 +185,6 @@ class TestFactorTable:
                 factor_table(moduli)
 
 
-class TestOmega:
-    def test_examples(self):
-        assert omega(1) == 0
-        assert omega(12) == 2
-        assert omega(30030) == 6
-
-    def test_capacity(self):
-        # factorize's limit, checked before any sieve is built
-        with pytest.raises(CapacityError):
-            omega(10**13)
-
-
 class TestCrtPair:
     def test_merge(self):
         assert crt_pair(2, 5, 0, 2) == (2, 10)
@@ -274,6 +260,12 @@ class TestLScale:
                 l_scale(c, 100)
         with pytest.raises(CapacityError):
             l_scale(1e300, 100)
+
+    @pytest.mark.parametrize("c, x", [(1e308, 1000), (1.7e308, 16), (1, math.inf)])
+    def test_infinite_exponent(self, c, x):
+        # exp returns inf without raising once its argument is already inf
+        with pytest.raises(CapacityError, match="exceeds the float range"):
+            l_scale(c, x)
 
 
 def _smooth_oracle(x, y, power_cap):

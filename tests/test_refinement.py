@@ -15,7 +15,7 @@ from apfam.cli import main
 from apfam.construction import ConstructionParams, build_construction, assign_residue
 from apfam.errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
 from apfam.family import Family, Progression, verify_family, write_family
-from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale, sieve_primes
+from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale, omega_threshold, sieve_primes
 from apfam.refinement import (
     CertificateCheck,
     RefinementCertificate,
@@ -169,12 +169,14 @@ squarefree_moduli = st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=
 
 class TestParams:
     def test_defaults_follow_scale(self):
-        params = RefinementParams(x=10**4)
-        lx = math.log(10**4)
-        scale = math.sqrt(lx / math.log(lx))
-        assert params.omega_cap == pytest.approx(scale)
-        assert params.ratio_denominator == pytest.approx(scale)
-        assert params.prime_floor == pytest.approx(l_scale(1, 10**4))
+        for x in (16, 10**4, 3 * 10**7, 10**8, 10**300):
+            params = RefinementParams(x=x)
+            assert params.omega_cap == params.ratio_denominator == omega_threshold(x, 1)
+            assert params.prime_floor == l_scale(1, x)
+            # the same floats as the two formulas written out
+            lx = math.log(x)
+            assert params.omega_cap == math.sqrt(lx / math.log(lx))
+            assert params.prime_floor == math.exp(math.sqrt(lx * math.log(lx)))
 
     def test_domain(self):
         with pytest.raises(DomainError):
