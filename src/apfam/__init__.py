@@ -17,7 +17,6 @@ from .bounds import (
     omega_tail_majorant,
     prime_power_reciprocal_sum,
     rows_to_csv,
-    split_squarefull,
     squarefull_reduce,
 )
 from .construction import (
@@ -40,8 +39,6 @@ from .family import (
     Progression,
     VerificationReport,
     Witness,
-    density,
-    disjoint,
     dumps_family,
     family_digest,
     loads_family,
@@ -54,7 +51,6 @@ from .numtheory import (
     Factorization,
     FactorTable,
     crt_pair,
-    enumerate_smooth,
     factor_table,
     factorize,
     l_scale,
@@ -71,14 +67,12 @@ from .refinement import (
     certificate_from_dict,
     certificate_to_dict,
     check_certificate,
-    filter_eligible,
     read_certificate,
     write_certificate,
 )
 from .solver import (
     SearchConfig,
     SearchResult,
-    brute_force_oracle,
     solve_exact,
 )
 
@@ -106,7 +100,6 @@ __all__ = [
     "alpha_exceeding_fraction",
     "assign_residue",
     "bounds_report",
-    "brute_force_oracle",
     "build_chain",
     "build_construction",
     "certificate_from_dict",
@@ -115,14 +108,10 @@ __all__ = [
     "choose_alpha",
     "choose_prime",
     "crt_pair",
-    "density",
-    "disjoint",
     "dumps_family",
-    "enumerate_smooth",
     "factor_table",
     "factorize",
     "family_digest",
-    "filter_eligible",
     "l_scale",
     "loads_family",
     "omega_tail_count",
@@ -135,7 +124,6 @@ __all__ = [
     "rows_to_csv",
     "sieve_primes",
     "solve_exact",
-    "split_squarefull",
     "squarefull_reduce",
     "translate",
     "truncated_construction",

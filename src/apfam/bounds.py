@@ -17,7 +17,7 @@ import numpy as np
 from .construction import ConstructionParams, build_construction
 from .errors import CapacityError, DomainError
 from .family import Family
-from .numtheory import factor_table, factorize, l_scale, omega_threshold, psi, psi_star, sieve_primes
+from .numtheory import factor_table, l_scale, omega_threshold, psi, psi_star, sieve_primes
 
 OMEGA_TABLE_LIMIT = 50_000_000
 MAJORANT_CUTOFF = 1e-30
@@ -100,22 +100,9 @@ def omega_tail_majorant(x: int, c: float) -> float:
     return x * total
 
 
-def split_squarefull(n: int) -> tuple[int, int]:
-    """(alpha, beta) with n = alpha * beta, alpha squarefull, beta squarefree,
-    gcd(alpha, beta) = 1; alpha collects every prime appearing squared."""
-    fact = factorize(n)
-    alpha = 1
-    beta = 1
-    for p, e in fact.parts:
-        if e >= 2:
-            alpha *= p**e
-        else:
-            beta *= p
-    return alpha, beta
-
-
 def _squarefull_parts(family: Family) -> np.ndarray:
-    # split_squarefull(q)[0] for every modulus q, from one factor table
+    # the squarefull part of every modulus q, the product of the p**e exactly
+    # dividing q with e >= 2, from one factor table
     table = factor_table(family.q)
     alpha = np.ones(family.size, dtype=np.int64)
     square = table.exponent > 1

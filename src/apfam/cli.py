@@ -179,15 +179,15 @@ def cmd_check_cert(args) -> int:
 
 def cmd_counts(args) -> int:
     started = time.perf_counter()
-    kind = args.kind.replace("-", "_")
+    kinds = [kind.replace("-", "_") for kind in args.kind]
     c_values = args.c or [1.0]
-    rows = bounds_report(args.x, c_values, kinds=[kind])
+    rows = bounds_report(args.x, c_values, kinds=kinds)
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         _write_manifest(
-            args.out, "counts", {"kind": kind, "x": args.x, "c": c_values}, [], started
+            args.out, "counts", {"kind": kinds, "x": args.x, "c": c_values}, [], started
         )
         _emit({"rows": len(rows), "out": args.out})
     else:
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("counts", "exact counts against predicted scales")
     p.add_argument(
-        "--kind", choices=[k.replace("_", "-") for k in KINDS], required=True
+        "--kind", choices=[k.replace("_", "-") for k in KINDS], action="append", required=True
     )
     p.add_argument("--x", type=int, action="append", required=True)
     p.add_argument("--c", type=float, action="append", default=None)

@@ -17,7 +17,6 @@ import operator
 import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,16 +55,8 @@ class Progression:
         if self.modulus < 2 or not 0 <= self.residue < self.modulus:
             object.__setattr__(self, "residue", _reduced(self.residue, self.modulus))
 
-    def contains(self, n: int) -> bool:
-        return (n - self.residue) % self.modulus == 0
-
     def __str__(self):
         return f"{self.residue} mod {self.modulus}"
-
-
-def disjoint(p: Progression, q: Progression) -> bool:
-    """True iff the two progressions share no integer."""
-    return (p.residue - q.residue) % math.gcd(p.modulus, q.modulus) != 0
 
 
 class Family:
@@ -174,11 +165,6 @@ def _sorted_columns(moduli: list[int], residues: list[int]) -> tuple[list[int], 
     return q[order].tolist(), a[order].tolist()
 
 
-def density(family: Family) -> Fraction:
-    """Exact sum of reciprocals of the moduli."""
-    return sum((Fraction(1, q) for q in family.q), Fraction(0))
-
-
 def translate(family: Family, shift: int) -> Family:
     """Shift every progression by the same constant; disjointness is unaffected."""
     moduli = family.q
@@ -201,16 +187,6 @@ class VerificationReport:
     witness: Witness | None
     pair_count: int
     digest: str | None
-
-
-def _scan_python(items: Sequence[Progression]) -> tuple[int, int] | None:
-    n = len(items)
-    for i in range(n - 1):
-        ai, qi = items[i].residue, items[i].modulus
-        for j in range(i + 1, n):
-            if (ai - items[j].residue) % math.gcd(qi, items[j].modulus) == 0:
-                return i, j
-    return None
 
 
 class _RowScanner:
@@ -290,7 +266,7 @@ def _bases(q: int, primes: Sequence[int], primorial: int) -> tuple[int, ...]:
 
 
 def _scan_partition(moduli: Sequence[int], residues: Sequence[int]) -> tuple[int, int] | None:
-    """The lexicographically first meeting pair, as _scan_python finds it.
+    """The lexicographically first meeting pair (i, j), i < j.
 
     A set of members is split by the divisor m shared by the most of them:
     the members m divides fall into classes by residue mod m, and pairs in
@@ -361,8 +337,8 @@ def verify_family(family: Family) -> VerificationReport:
     Most pairs are proven disjoint a class at a time by a shared divisor
     (see _scan_partition); the rest are tested one by one, exactly, by
     _RowScanner, so moduli of any size are handled.  The witness is the
-    pair _scan_python would find and carries the smallest common element
-    of the pair.
+    first meeting pair (i, j) in the order of a scan over every i < j, and
+    carries the smallest common element of the pair.
     """
     q, a = family.q, family.a
     n = len(q)

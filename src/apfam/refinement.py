@@ -114,10 +114,9 @@ def _squarefree_table(moduli: list[int]) -> FactorTable:
 
 
 def _prime_map(moduli: list[int], params: RefinementParams) -> tuple[list[bool], list[list[int]]]:
-    # which moduli filter_eligible's test keeps (omega below omega_cap and a
-    # prime above prime_floor), and the ascending primes of each one kept,
-    # in order, from one factor table.  A modulus is squarefree, so p divides
-    # it exactly when p is in its list.
+    # which moduli _eligible keeps, and the ascending primes of each one
+    # kept, in order, from one factor table.  A modulus is squarefree, so
+    # p divides it exactly when p is in its list.
     table = _squarefree_table(moduli)
     omega = np.bincount(table.index, minlength=len(moduli)) + (table.cofactor > 1)
     large = table.cofactor > params.prime_floor
@@ -137,18 +136,12 @@ def _prime_map(moduli: list[int], params: RefinementParams) -> tuple[list[bool],
 
 
 def _eligible(family: Family, params: RefinementParams) -> tuple[Family, list[list[int]]]:
-    # filter_eligible's family, and the primes of each member kept, in order
+    # the base set: the members with omega below omega_cap and a prime factor
+    # above prime_floor, both strictly, and the primes of each one kept, in
+    # order.  Requires every modulus squarefree.
     keep, primes = _prime_map(family.q, params)
     kept = Family.from_columns(compress(family.q, keep), compress(family.a, keep), family.x_bound)
     return kept, primes
-
-
-def filter_eligible(family: Family, params: RefinementParams) -> Family:
-    """Members with omega below omega_cap and a prime factor above prime_floor.
-
-    Both conditions are strict.  Requires every modulus squarefree.
-    """
-    return _eligible(family, params)[0]
 
 
 # The chain and its checker hold members as positions into the base

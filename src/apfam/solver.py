@@ -1,4 +1,4 @@
-"""Exact maximum family size by branch and bound, plus a slow oracle.
+"""Exact maximum family size by branch and bound.
 
 Two progressions whose moduli are coprime always meet (CRT), so every pair
 of moduli in a disjoint family shares a prime.  The search keeps a list of
@@ -20,11 +20,10 @@ Disjointness is translation invariant, so the first chosen residue is 0.
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .family import Family
 
 X_MAX_EXACT = 64
-X_ORACLE_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -107,34 +106,4 @@ def solve_exact(config: SearchConfig) -> SearchResult:
     return SearchResult(
         k_max=len(best), witness=witness, nodes=nodes, proven_optimal=not cutoff
     )
-
-
-def brute_force_oracle(x: int) -> int:
-    """Exhaustive maximum family size; feasibility checks only, no pruning.
-
-    Kept independent of solve_exact (ascending order, no bounds) so the two
-    can validate each other on small x.
-    """
-    if x < 2:
-        raise DomainError(f"need x >= 2, got {x}")
-    if x > X_ORACLE_MAX:
-        raise CapacityError(f"oracle supports x <= {X_ORACLE_MAX}")
-    best = 0
-    chosen: list[tuple[int, int]] = []
-
-    def rec(q: int):
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        if q > x:
-            return
-        for a in range(q):
-            if all((a - ai) % math.gcd(q, qi) for qi, ai in chosen):
-                chosen.append((q, a))
-                rec(q + 1)
-                chosen.pop()
-        rec(q + 1)
-
-    rec(2)
-    return best
 

@@ -1,0 +1,78 @@
+"""Slow, plainly written references for the fast paths in apfam.
+
+Each one is written from its definition, with no pruning, limits or
+shared code from the library, so that a test comparing the two checks the
+library against something independent of it.
+"""
+
+import math
+from fractions import Fraction
+
+import sympy
+
+
+def brute_force_oracle(x):
+    """F(x): the most members of a disjoint family with distinct moduli in
+    [2, x], by trying every residue of every modulus in ascending order."""
+    best = 0
+    chosen = []
+
+    def rec(q):
+        nonlocal best
+        best = max(best, len(chosen))
+        if q > x:
+            return
+        for a in range(q):
+            if all((a - ai) % math.gcd(q, qi) for qi, ai in chosen):
+                chosen.append((q, a))
+                rec(q + 1)
+                chosen.pop()
+        rec(q + 1)
+
+    rec(2)
+    return best
+
+
+def enumerate_smooth(x, y, power_cap=False):
+    """Ascending n <= x whose prime factors p are all <= y, or with
+    power_cap, whose prime-power factors p**a (a maximal) are all <= y."""
+    primes = list(sympy.primerange(2, math.floor(y) + 1))
+    out = []
+
+    def rec(i, m):
+        # m times every product of primes[i:] that stays <= x
+        out.append(m)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            if m * p > x:
+                break
+            pa = p
+            while m * pa <= x and (not power_cap or pa <= y):
+                rec(j + 1, m * pa)
+                pa *= p
+
+    rec(0, 1)
+    return sorted(out)
+
+
+def split_squarefull(n):
+    """(alpha, beta) with n = alpha * beta: alpha the product of the p**e
+    exactly dividing n with e >= 2, beta the product of the other primes."""
+    alpha = math.prod(p**e for p, e in sympy.factorint(n).items() if e >= 2)
+    return alpha, n // alpha
+
+
+def first_meeting_pair(items):
+    """The first (i, j), i < j, in row order whose progressions share an
+    element, or None; items is a sequence of Progressions."""
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            p, q = items[i], items[j]
+            if (p.residue - q.residue) % math.gcd(p.modulus, q.modulus) == 0:
+                return i, j
+    return None
+
+
+def density(family):
+    """The exact sum of the reciprocals of the moduli."""
+    return sum((Fraction(1, q) for q in family.q), Fraction(0))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from apfam.bounds import (
     CountsRow,
+    _squarefull_parts,
     alpha_exceeding_fraction,
     bounds_report,
     choose_alpha,
@@ -16,13 +17,13 @@ from apfam.bounds import (
     omega_threshold,
     prime_power_reciprocal_sum,
     rows_to_csv,
-    split_squarefull,
     squarefull_reduce,
 )
 from apfam.construction import ConstructionParams, build_construction
 from apfam.errors import CapacityError, DomainError
 from apfam.family import Family, Progression, verify_family
 from apfam.numtheory import FACTOR_LIMIT, l_scale
+from oracles import split_squarefull
 
 
 def fam(pairs, x_bound):
@@ -252,6 +253,7 @@ class TestAgainstPerMember:
     @settings(max_examples=80)
     @given(families)
     def test_choose_alpha(self, family):
+        assert _squarefull_parts(family).tolist() == [split_squarefull(q)[0] for q in family.q]
         assert choose_alpha(family) == choose_alpha_per_member(family)
 
     @settings(max_examples=80)

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -528,6 +529,30 @@ class TestCounts:
         code, _ = run(capsys, "counts", "--kind", "psi", "--x", "10")
         assert code == 2
 
+    def test_repeated_kind_gives_rows_kind_by_kind(self, tmp_path, capsys):
+        grid = ["--x", "1000", "--x", "100", "--c", "1", "--c", "0.5"]
+        code, out = run(capsys, "counts", "--kind", "psistar", "--kind", "psi", *grid)
+        assert code == 0
+        _, psistar = run(capsys, "counts", "--kind", "psistar", *grid)
+        _, psi = run(capsys, "counts", "--kind", "psi", *grid)
+        assert out == psistar + psi.split("\n", 1)[1]
+        assert out.count("\n") == 9
+        for kinds in (["psistar", "psi"], ["omega-tail"]):
+            out_file = tmp_path / "counts.csv"
+            argv = [arg for kind in kinds for arg in ("--kind", kind)]
+            assert main(["counts", *argv, "--x", "1000", "--out", str(out_file)]) == 0
+            manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
+            assert manifest["parameters"]["kind"] == [kind.replace("-", "_") for kind in kinds]
+            assert [line.split(",")[0] for line in out_file.read_text().splitlines()[1:]] == manifest["parameters"]["kind"]
+
+    @pytest.mark.parametrize("kind", ["psi", "psistar"])
+    def test_count_past_the_limit_exits_2_at_once(self, capsys, kind):
+        started = time.perf_counter()
+        code = main(["counts", "--kind", kind, "--x", str(10**20)])
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     # 1e308 overflows the exponent of L(c, x) itself, which exp turns into inf
     @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e308"])
     @pytest.mark.parametrize(
@@ -682,3 +707,106 @@ class TestReadme:
                     options.update(sub._option_string_actions)
         flags = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text(encoding="utf-8")))
         assert flags and flags <= options, sorted(flags - options)
+
+
+
+# Argument values for the fuzz below, as typed: those a user would mean,
+# then edge integers, values past int64 and float range, and text that is
+# not a number at all.
+INTS_MEANT = ["2", "16", "24", "1000"]
+INTS = INTS_MEANT + ["-1", "0", "1", str(10**20), str(10**400), "nan", "1e308", "x"]
+# construct and f-lower walk 2M moduli, about 5 s, before x = 10**20 reaches MODULI_LIMIT
+FAST_X = [v for v in INTS if v != str(10**20)]
+SCALES_MEANT = ["0.5", "0.7", "1", "2"]
+FLOATS_MEANT = SCALES_MEANT + ["3", "22"]
+FLOATS = FLOATS_MEANT + ["-1", "0", "1e-300", "nan", "inf", "-inf", "1e308", str(10**20), str(10**400)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths by role: families, certificates, every input (some unreadable
+    or missing), and outputs, none of them an input."""
+    d = tmp_path_factory.mktemp("fuzz_in")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["construct", "--x", "1000", "--out", str(d / "fam.jsonl")])
+        main(["construct", "--x", "10000", "--squarefree-only", "--out", str(d / "sf.jsonl")])
+        argv = ["--prime-floor", "22", "--ratio-denom", "2", "--out", str(d / "cert.json")]
+        main(["refine", "--in", str(d / "sf.jsonl"), *argv])
+    cert = json.loads((d / "cert.json").read_text())
+    cert["divisible_count"] += 1
+    (d / "tampered.json").write_text(json.dumps(cert))
+    # coprime moduli always meet; refine finds the pair at ratio 1
+    (d / "meet.jsonl").write_text('{"x": 1227, "count": 2}\n{"q": 802, "a": 1}\n{"q": 1227, "a": 1}\n')
+    (d / "junk.jsonl").write_text("not json\n")
+    (d / "binary.jsonl").write_bytes(b"\xff\xfe\x00{")
+    (d / "empty.jsonl").write_text("")
+    out = tmp_path_factory.mktemp("fuzz_out")
+    families = [str(d / name) for name in ("fam.jsonl", "sf.jsonl", "meet.jsonl")]
+    certs = [str(d / "cert.json"), str(d / "tampered.json")]
+    others = [str(d / name) for name in ("junk.jsonl", "binary.jsonl", "empty.jsonl", "missing.jsonl")]
+    outputs = [str(out / "o.jsonl"), str(out / "missing" / "o.jsonl"), str(out)]
+    return families, certs, families + certs + others + [str(d)], outputs
+
+
+@st.composite
+def argvs(draw, files):
+    """A subcommand and its flags, in any order, some repeated.  Half the
+    runs give every flag a value a user would mean; the rest drop a flag
+    now and then and draw from every value."""
+    families, certs, inputs, outputs = files
+    command = draw(st.sampled_from(["construct", "verify", "solve", "refine", "check-cert", "counts", "reduce", "bench"]))
+    meant = draw(st.booleans())
+    kinds = ["psi", "psistar", "omega-tail", "f-lower"] + ([] if meant else ["weird"])
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    # each flag's values: those meant, then every one tried; None for a switch
+    files_in, out = (families, inputs), (outputs[:1], outputs)
+    floats, scales = (FLOATS_MEANT, FLOATS), (SCALES_MEANT, FLOATS)
+    flags = {
+        "construct": {"--x": (INTS_MEANT, FAST_X), "--c": scales, "--squarefree-only": None, "--out": out},
+        "verify": {"--in": files_in},
+        "solve": {"--x": (INTS_MEANT, INTS), "--emit-witness": out},
+        "refine": {"--in": files_in, "--omega-cap": floats, "--prime-floor": floats, "--ratio-denom": floats,
+                   "--out": out},
+        "check-cert": {"--cert": (certs, inputs), "--in": files_in},
+        "counts": {"--x": (INTS_MEANT, FAST_X if "f-lower" in kinds else INTS), "--c": scales, "--out": out},
+        "reduce": {"--in": files_in, "--alpha": (INTS_MEANT, INTS), "--out": out},
+        "bench": {"--k": (["1", "2", "300", "2000"], ["-1", "0", "1", "2", "300", "2000", "nan"])},
+    }[command]
+    names = [name for name in flags if meant or draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from(list(flags)), max_size=2))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv += [name] if flags[name] is None else [name, draw(st.sampled_from(flags[name][not meant]))]
+    if command == "solve":
+        # always a budget, so that no search runs past 1000 nodes
+        argv += ["--budget", draw(st.sampled_from(["-1", "0", "1", "1000"]))]
+    for kind in kinds if command == "counts" else ():
+        argv += ["--kind", kind]
+    return argv
+
+
+def recheck(pair):
+    # a witness or counterexample: its common element is the pair's CRT merge
+    merged = crt_pair(pair["a_i"], pair["q_i"], pair["a_j"], pair["q_j"])
+    assert merged is not None and merged[0] == pair["common"]
+
+
+class TestFuzzMain:
+    @settings(deadline=None, max_examples=500)
+    @given(st.data())
+    def test_exit_codes_hold_for_any_flags(self, fuzz_files, data):
+        argv = data.draw(argvs(fuzz_files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            summary = json.loads(out.getvalue().splitlines()[-1])
+            assert summary["ok"] is False
+            if "witness" in summary:
+                recheck(summary["witness"])
+            elif "counterexample" in summary:
+                recheck(summary["counterexample"])
+            else:
+                assert argv[0] == "check-cert" and summary["reason"]

@@ -23,7 +23,6 @@ from apfam.errors import DomainError, StructuralError
 from apfam.family import (
     Family,
     Progression,
-    density,
     dumps_family,
     family_digest,
     loads_family,
@@ -32,7 +31,7 @@ from apfam.family import (
     verify_family,
     write_family,
 )
-from apfam.refinement import RefinementParams, build_chain, check_certificate, filter_eligible
+from apfam.refinement import RefinementParams, build_chain, check_certificate
 from apfam.solver import SearchConfig, solve_exact
 
 
@@ -66,7 +65,6 @@ def test_apfam_paths_never_build_the_view(no_view, tmp_path, capsys):
     again = read_family(path)
     assert again == family == loads_family(dumps_family(family))
     assert family_digest(again) == hashlib.sha256(path.read_bytes()).hexdigest()
-    density(again)
 
     assert verify_family(again).ok
     scale = 2**63  # the second family's moduli are past int64
@@ -83,7 +81,6 @@ def test_apfam_paths_never_build_the_view(no_view, tmp_path, capsys):
 
     squarefree = build_construction(ConstructionParams(x=10**4, squarefree_only=True)).family
     params = RefinementParams(x=10**4, prime_floor=22, ratio_denominator=2)
-    filter_eligible(squarefree, params)
     cert = build_chain(squarefree, params)
     assert check_certificate(cert, squarefree).ok
     solve_exact(SearchConfig(x=12))

@@ -14,8 +14,9 @@ from apfam.construction import (
     truncated_construction,
 )
 from apfam.errors import CapacityError, DomainError
-from apfam.family import Family, density, dumps_family, family_digest, verify_family
+from apfam.family import Family, dumps_family, family_digest, verify_family
 from apfam.numtheory import factorize, l_scale
+from oracles import density
 
 X100 = [(0, 5), (2, 10), (3, 15), (4, 20), (8, 30), (39, 60)]
 

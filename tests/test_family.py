@@ -24,9 +24,6 @@ from apfam.family import (
     Family,
     Progression,
     _scan_dense,
-    _scan_python,
-    density,
-    disjoint,
     dumps_family,
     family_digest,
     loads_family,
@@ -35,6 +32,7 @@ from apfam.family import (
     verify_family,
     write_family,
 )
+from oracles import density, first_meeting_pair
 
 
 def fam(pairs, x_bound):
@@ -44,6 +42,15 @@ def fam(pairs, x_bound):
 def dense(items):
     """_scan_dense over the columns of a Progression list."""
     return _scan_dense([pr.modulus for pr in items], [pr.residue for pr in items])
+
+
+def disjoint(p, q):
+    """The library's pair test, _RowScanner's, on two progressions."""
+    return dense([p, q]) is None
+
+
+def contains(pr, n):
+    return (n - pr.residue) % pr.modulus == 0
 
 
 SEVEN_EIGHTHS = [(0, 2), (1, 4), (3, 8)]
@@ -110,11 +117,6 @@ class TestProgression:
             pr = Progression(-1, 5)
         assert pr.residue == 4
 
-    def test_contains(self):
-        pr = Progression(3, 8)
-        assert pr.contains(3) and pr.contains(11) and pr.contains(19)
-        assert not pr.contains(4)
-
 
 class TestDisjoint:
     def test_examples(self):
@@ -137,10 +139,6 @@ class TestDisjoint:
                     for a2 in range(q2):
                         empty = not (s1 & set(range(a2, lcm, q2)))
                         assert disjoint(Progression(a1, q1), Progression(a2, q2)) == empty
-
-    def test_symmetric(self):
-        p, q = Progression(5, 12), Progression(3, 10)
-        assert disjoint(p, q) == disjoint(q, p)
 
 
 class TestFamilyStructure:
@@ -192,7 +190,7 @@ class TestVerify:
         report = verify_family(f)
         assert report.witness.common == 9
         for n in range(9):
-            assert not (f.items[0].contains(n) and f.items[1].contains(n))
+            assert not (contains(f.items[0], n) and contains(f.items[1], n))
 
     def test_single_and_empty(self):
         assert verify_family(fam([(0, 2)], 2)).ok
@@ -219,7 +217,7 @@ class TestVerify:
                 n = rng.randrange(2, 40)
                 moduli = sorted(rng.sample(range(2, 200), n))
                 items = [Progression(rng.randrange(q), q) for q in moduli]
-            expected = _scan_python(items)
+            expected = first_meeting_pair(items)
             assert dense(items) == expected
             if expected is None:
                 seen.add("disjoint, numpy rows" if n > NUMPY_CUTOVER + 1 else "disjoint")
@@ -230,12 +228,12 @@ class TestVerify:
         # moduli times 2**63, past int64, every row takes the exact route
         for scale in (1, 2**63):
             items = [Progression(pr.residue, pr.modulus * scale) for pr in built[:250]]
-            assert _scan_python(items) is None and dense(items) is None
+            assert first_meeting_pair(items) is None and dense(items) is None
             for k, j in ((3, 4), (3, 249), (60, 61), (60, 249)):
                 planted = list(items)
                 q = planted[j].modulus
                 planted[j] = Progression(planted[k].residue % q, q)
-                assert dense(planted) == _scan_python(planted) == (k, j)
+                assert dense(planted) == first_meeting_pair(planted) == (k, j)
 
     def test_moduli_past_int64_take_the_exact_scan(self):
         scale = 2**63
@@ -254,9 +252,9 @@ class TestVerify:
         report = verify_family(planted)
         assert not report.ok
         w = report.witness
-        assert (w.i, w.j) == _scan_python(planted.items)
-        assert planted.items[w.i].contains(w.common)
-        assert planted.items[w.j].contains(w.common)
+        assert (w.i, w.j) == first_meeting_pair(planted.items)
+        assert contains(planted.items[w.i], w.common)
+        assert contains(planted.items[w.j], w.common)
         assert 0 <= w.common < math.lcm(planted.items[w.i].modulus, planted.items[w.j].modulus)
 
     def test_verdict_permutation_invariant(self):
@@ -270,7 +268,7 @@ class TestVerify:
 
 def oracle_witness(items):
     """(i, j, common) from the dense Python scan, or None."""
-    hit = _scan_python(items)
+    hit = first_meeting_pair(items)
     if hit is None:
         return None
     i, j = hit
@@ -310,13 +308,15 @@ def greedy_disjoint(rows):
     kept = {}
     for q, a in rows:
         pr = Progression(a % q, q)
-        if q not in kept and all(disjoint(pr, other) for other in kept.values()):
+        if q not in kept and all(
+            (pr.residue - other.residue) % math.gcd(q, other.modulus) for other in kept.values()
+        ):
             kept[q] = pr
     return sorted(kept.values(), key=lambda pr: pr.modulus)
 
 
 class TestPartitionOracle:
-    """verify_family against the dense _scan_python: same verdict, same
+    """verify_family against the dense first_meeting_pair: same verdict, same
     witness pair and common element."""
 
     @given(st.integers(0, 2**64))

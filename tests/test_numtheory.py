@@ -9,8 +9,8 @@ from apfam.errors import CapacityError, DomainError
 from apfam.numtheory import (
     FACTOR_LIMIT,
     Factorization,
+    PSI_LIMIT,
     crt_pair,
-    enumerate_smooth,
     factor_table,
     factorize,
     l_scale,
@@ -18,6 +18,7 @@ from apfam.numtheory import (
     psi_star,
     sieve_primes,
 )
+from oracles import enumerate_smooth
 
 
 class TestSievePrimes:
@@ -323,30 +324,26 @@ class TestSmoothCounts:
 
     def test_enumerate_examples(self):
         assert enumerate_smooth(20, 3) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
-        assert enumerate_smooth(20, 3, "powersmooth") == [1, 2, 3, 6]
+        assert enumerate_smooth(20, 3, power_cap=True) == [1, 2, 3, 6]
 
     def test_counts_match_enumeration(self):
         for x in (1, 10, 100, 1000, 10**4):
             for y in (2, 3, 5.5, 10, 30, 100):
                 assert psi(x, y) == len(enumerate_smooth(x, y))
-                assert psi_star(x, y) == len(
-                    enumerate_smooth(x, y, "powersmooth")
-                )
+                assert psi_star(x, y) == len(enumerate_smooth(x, y, power_cap=True))
 
     def test_against_trial_division(self):
         for x in (50, 300):
             for y in (3, 7, 12):
                 assert enumerate_smooth(x, y) == _smooth_oracle(x, y, False)
-                assert enumerate_smooth(x, y, "powersmooth") == _smooth_oracle(
-                    x, y, True
-                )
+                assert enumerate_smooth(x, y, power_cap=True) == _smooth_oracle(x, y, True)
 
     @given(st.data())
     def test_counts_match_enumeration_at_subtree_edges(self, data):
         x = data.draw(_count_x(), label="x")
         y = data.draw(_count_y(x), label="y")
         assert psi(x, y) == len(enumerate_smooth(x, y))
-        assert psi_star(x, y) == len(enumerate_smooth(x, y, "powersmooth"))
+        assert psi_star(x, y) == len(enumerate_smooth(x, y, power_cap=True))
 
     def test_frozen_counts_at_scale(self):
         # values of the one-call-per-number recursion, before subtrees closed
@@ -384,4 +381,14 @@ class TestSmoothCounts:
         with pytest.raises(DomainError):
             psi(10, 1.5)
         with pytest.raises(DomainError):
-            enumerate_smooth(10, 5, "weird")
+            psi_star(0, 5)
+
+    def test_capacity(self):
+        # the README's count runs; so does the largest x, and one past it
+        # and 10**400 fail at once
+        assert psi(10**8, l_scale(1, 10**8)) == 14_680_982
+        assert psi(PSI_LIMIT, 2) == PSI_LIMIT.bit_length()
+        for count in (psi, psi_star):
+            for x in (PSI_LIMIT + 1, 10**400):
+                with pytest.raises(CapacityError, match=str(PSI_LIMIT)):
+                    count(x, l_scale(1, 10**8))

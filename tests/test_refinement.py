@@ -25,7 +25,6 @@ from apfam.refinement import (
     _eligible,
     certificate_to_dict,
     check_certificate,
-    filter_eligible,
     read_certificate,
     write_certificate,
 )
@@ -54,7 +53,7 @@ RELAXED = dict(omega_cap=3.5, prime_floor=400, ratio_denominator=1.5)
 
 
 def eligible_per_member(family, params):
-    # filter_eligible's members and their primes, factoring one modulus at a time
+    # _eligible's members and their primes, factoring one modulus at a time
     primes_of = {}
     for pr in family.items:
         parts = factorize(pr.modulus).parts
@@ -78,7 +77,9 @@ def reference_step(members, used, combined):
     for pr in members:
         if pr != chosen and all(pr.modulus % e for e in candidates):
             # the two agree modulo every prime they share, so they meet
-            common = next(n for n in itertools.count(chosen.residue, chosen.modulus) if pr.contains(n))
+            common = next(
+                n for n in itertools.count(chosen.residue, chosen.modulus) if (n - pr.residue) % pr.modulus == 0
+            )
             raise NotDisjointError(chosen, pr, common)
     # max keeps the first of the tied, so ascending order breaks ties low
     prime = max(sorted(candidates), key=lambda e: sum(pr.modulus % e == 0 for pr in members))
@@ -193,33 +194,39 @@ class TestParams:
                     RefinementParams(x=100, **{field: value})
 
 
+def base_moduli(family, params):
+    # the chain's base set, which the per-member reference gives too
+    moduli = _eligible(family, params)[0].moduli()
+    assert moduli == list(eligible_per_member(family, params))
+    return moduli
+
+
 class TestFilterEligible:
     def test_strict_omega_cap(self):
         f = three_member()
-        kept = filter_eligible(f, RefinementParams(x=2406, **RELAXED))
-        assert kept.moduli() == [802, 1203, 2406]
+        kept = base_moduli(f, RefinementParams(x=2406, **RELAXED))
+        assert kept == [802, 1203, 2406]
         # omega of 2406 is 3, not below a cap of 3
         tight = RefinementParams(x=2406, omega_cap=3, prime_floor=400, ratio_denominator=1.5)
-        assert filter_eligible(f, tight).moduli() == [802, 1203]
+        assert base_moduli(f, tight) == [802, 1203]
 
     def test_strict_prime_floor(self):
         f = three_member()
         at_401 = RefinementParams(x=2406, omega_cap=3.5, prime_floor=401, ratio_denominator=1.5)
-        assert filter_eligible(f, at_401).moduli() == []
+        assert base_moduli(f, at_401) == []
 
     def test_squarefree_construction_all_kept(self):
         f = build_construction(ConstructionParams(x=100, squarefree_only=True)).family
         params = RefinementParams(x=100, omega_cap=4, prime_floor=4, ratio_denominator=4)
-        assert filter_eligible(f, params).moduli() == [5, 10, 15, 30]
+        assert base_moduli(f, params) == [5, 10, 15, 30]
 
     def test_rejects_non_squarefree(self):
         f = fam([(0, 4)], 16)
         with pytest.raises(DomainError, match="4"):
-            filter_eligible(f, RefinementParams(x=16, **RELAXED))
+            _eligible(f, RefinementParams(x=16, **RELAXED))
 
     def test_empty_family(self):
-        kept = filter_eligible(fam([], 100), RefinementParams(x=100))
-        assert kept.size == 0
+        assert base_moduli(fam([], 100), RefinementParams(x=100)) == []
 
 
 class TestEligibleAgainstPerMember:
@@ -239,7 +246,7 @@ class TestEligibleAgainstPerMember:
             expected = eligible_per_member(f, params)
         except DomainError as err:
             with pytest.raises(DomainError, match=str(err)):
-                filter_eligible(f, params)
+                _eligible(f, params)
             return
         kept, primes = _eligible(f, params)
         assert kept.moduli() == list(expected)
@@ -249,14 +256,14 @@ class TestEligibleAgainstPerMember:
         # member order decides: the modulus 12 fails before 10**12 + 1 is reached
         f = fam([(0, 12), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
         with pytest.raises(DomainError, match="modulus 12 is not squarefree"):
-            filter_eligible(f, RefinementParams(x=16, **RELAXED))
+            _eligible(f, RefinementParams(x=16, **RELAXED))
         cert = build_chain(six_member(), RefinementParams(x=4090, **RELAXED))
         assert check_certificate(cert, f) == CertificateCheck(False, "base")
 
     def test_oversized_first_raises_capacity(self):
         f = fam([(0, 6), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
         with pytest.raises(CapacityError):
-            filter_eligible(f, RefinementParams(x=16, **RELAXED))
+            _eligible(f, RefinementParams(x=16, **RELAXED))
 
 
 class TestRefineStep:

@@ -1,9 +1,10 @@
 import pytest
 
 from apfam.construction import ConstructionParams, build_construction
-from apfam.errors import CapacityError, DomainError
-from apfam.family import density, verify_family
-from apfam.solver import SearchConfig, brute_force_oracle, solve_exact
+from apfam.errors import DomainError
+from apfam.family import verify_family
+from apfam.solver import SearchConfig, solve_exact
+from oracles import brute_force_oracle, density
 
 # x <= 20: frozen from the exhaustive oracle during development.
 # 21..30: the earlier solver (a walk over every modulus under exact Fraction
@@ -21,14 +22,6 @@ class TestOracle:
     def test_frozen_table(self):
         for x in range(2, 13):
             assert brute_force_oracle(x) == F_TABLE[x]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            brute_force_oracle(1)
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            brute_force_oracle(21)
 
 
 class TestSolveExact:
