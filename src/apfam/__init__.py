@@ -13,7 +13,6 @@ from .bounds import (
     alpha_exceeding_fraction,
     bounds_report,
     choose_alpha,
-    omega_tail_count,
     omega_tail_majorant,
     prime_power_reciprocal_sum,
     rows_to_csv,
@@ -54,6 +53,7 @@ from .numtheory import (
     factor_table,
     factorize,
     l_scale,
+    omega_tail_count,
     psi,
     psi_star,
     sieve_primes,

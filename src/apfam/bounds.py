@@ -1,11 +1,14 @@
 """Counting bounds and the squarefull-part reduction.
 
-omega_tail_count tallies integers with unusually many prime factors and
-omega_tail_majorant dominates it with the tail of x * sum_j M**j / j!,
-where M is the exact sum of reciprocals of prime powers up to x.  The
-reduction splits each modulus n = alpha * beta into its squarefull and
-squarefree parts and maps the largest equal-alpha, equal-residue-class
-subfamily onto a squarefree-modulus family that inherits disjointness.
+bounds_report sets exact counts beside their predicted scales.  Every kind
+is counted by numtheory's one recursion over prime products: psi, psi_star,
+omega_tail_count, and the construction's size as psi_star(x // p, p - 1)
+at the anchor p, with no family built.  omega_tail_majorant dominates the
+omega tail with the tail of x * sum_j M**j / j!, where M is the exact sum
+of reciprocals of prime powers up to x.  The reduction splits each modulus
+n = alpha * beta into its squarefull and squarefree parts and maps the
+largest equal-alpha, equal-residue-class subfamily onto a squarefree-modulus
+family that inherits disjointness.
 """
 
 import math
@@ -14,51 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import ConstructionParams, build_construction
+from .construction import ConstructionParams, choose_prime
 from .errors import CapacityError, DomainError
 from .family import Family
-from .numtheory import factor_table, l_scale, omega_threshold, psi, psi_star, sieve_primes
+from .numtheory import (
+    factor_table, l_scale, omega_tail_count, omega_threshold, psi, psi_star, sieve_primes
+)
 
-OMEGA_TABLE_LIMIT = 50_000_000
 MAJORANT_CUTOFF = 1e-30
-
-
-def omega_tail_count(x: int, c: float) -> int:
-    """Count of n <= x with more than c * sqrt(log x / log log x) prime factors.
-
-    Returns 0 for x <= 2, where the threshold scale is undefined and no
-    integer has more than one prime factor anyway.
-    """
-    if x < 1:
-        raise DomainError(f"count needs x >= 1, got {x}")
-    if not c > 0:
-        raise DomainError(f"threshold coefficient must be positive, got {c}")
-    if x <= 2:
-        return 0
-    if x > OMEGA_TABLE_LIMIT:
-        raise CapacityError(f"omega table for {x} exceeds {OMEGA_TABLE_LIMIT}")
-    table = _distinct_prime_counts(x)
-    return int(np.count_nonzero(table[1:] > omega_threshold(x, c)))
-
-
-def _distinct_prime_counts(x: int) -> np.ndarray:
-    """table[n] = number of distinct primes dividing n, for 0 <= n <= x."""
-    table = np.zeros(x + 1, dtype=np.int8)
-    primes = np.array(sieve_primes(x), dtype=np.int64)
-    r = math.isqrt(x)
-    # a slice per prime costs about a microsecond however few its multiples;
-    # primes above x // r have fewer than r of them, so those are marked
-    # instead by one gather per multiplier m <= r
-    n_small = int(np.searchsorted(primes, x // r, side="right"))
-    for p in primes[:n_small].tolist():
-        table[p::p] += 1
-    large = primes[n_small:]
-    for m in range(1, r + 1):
-        count = int(np.searchsorted(large, x // m, side="right"))
-        if count == 0:
-            break
-        table[large[:count] * m] += 1
-    return table
 
 
 def prime_power_reciprocal_sum(x: int) -> float:
@@ -207,7 +173,10 @@ def _one_row(kind: str, x: int, c: float) -> CountsRow:
         exact = omega_tail_count(x, c)
         predicted = x / l_scale(c / 2, x)
     else:  # f_lower: bounds_report has checked the kind
-        exact = build_construction(ConstructionParams(x=x, c=c)).size
+        # build_construction's size: the anchor p times each m <= x // p whose
+        # prime powers all lie below p, m = 1 included
+        p = choose_prime(ConstructionParams(x=x, c=c))
+        exact = psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
         predicted = x / l_scale(c + 1 / (2 * c), x)
     return CountsRow(kind=kind, x=x, c=c, exact=exact, predicted=predicted)
 

@@ -1,9 +1,10 @@
-"""Deterministic integer utilities: primes, factorization, CRT, smooth counts.
+"""Deterministic integer utilities: primes, factorization, CRT, counts.
 
 Everything here is pure and exact: on Python integers of any size, and in
 factor_table on int64 arrays, which hold every integer up to FACTOR_LIMIT.
-The sieves, trial division and smooth counts raise CapacityError past their
-size limits instead of running without bound.
+psi, psi_star and omega_tail_count all run one recursion over products of
+primes, _count_below.  The sieves, trial division and counts raise
+CapacityError past their size limits instead of running without bound.
 """
 
 import math
@@ -226,22 +227,27 @@ def _bound_primes(y: float) -> tuple[int, ...]:
     return _prime_tuple(top)
 
 
-def _count_below(x: int, primes: tuple[int, ...], i: int, y: float, power_cap: bool) -> int:
-    # Counts products of primes[i:] that are <= x, the empty product included.
+def _count_below(x: int, primes: tuple[int, ...], i: int, y: float, power_cap: bool, k: int) -> int:
+    # Counts products of at most k distinct primes of primes[i:] that are
+    # <= x, the empty product included.
+    if k == 0:
+        return 1
     total = 1
     for j in range(i, len(primes)):
         p = primes[j]
         # Once p**2 > x only single primes fit, and each is <= y, so within the cap.
         if p * p > x:
             return total + bisect_right(primes, x, j) - j
-        # Once p**3 > x, p's subtree is p, p*r for primes r in (p, x // p],
-        # and p**2 if the cap allows.
+        # Once p**3 > x, p's subtree is p, p**2 if the cap allows, and p*r
+        # for primes r in (p, x // p] if two primes are allowed.
         if p * p * p > x:
-            total += bisect_right(primes, x // p, j + 1) - j + (not power_cap or p * p <= y)
+            total += 1 + (not power_cap or p * p <= y)
+            if k > 1:
+                total += bisect_right(primes, x // p, j + 1) - j - 1
             continue
         pa = p
         while pa <= x and (not power_cap or pa <= y):
-            total += _count_below(x // pa, primes, j + 1, y, power_cap)
+            total += _count_below(x // pa, primes, j + 1, y, power_cap, k - 1)
             pa *= p
     return total
 
@@ -251,7 +257,8 @@ def _smooth_count(x: int, y: float, power_cap: bool) -> int:
         raise DomainError(f"count needs x >= 1, got {x}")
     if x > PSI_LIMIT:
         raise CapacityError(f"smooth count at x={x} exceeds {PSI_LIMIT}")
-    return _count_below(x, _bound_primes(y), 0, y, power_cap)
+    primes = _bound_primes(y)
+    return _count_below(x, primes, 0, y, power_cap, len(primes))
 
 
 def psi(x: int, y: float) -> int:
@@ -263,3 +270,23 @@ def psi_star(x: int, y: float) -> int:
     """Count of n <= x whose prime-power factors p**a (a maximal) are all <= y."""
     return _smooth_count(x, y, power_cap=True)
 
+
+def omega_tail_count(x: int, c: float) -> int:
+    """Count of n <= x with more than c * sqrt(log x / log log x) distinct
+    prime factors: x minus the n <= x with at most floor(threshold).
+
+    Returns 0 for x <= 2, where the threshold scale is undefined and no
+    integer has more than one prime factor anyway.
+    """
+    if x < 1:
+        raise DomainError(f"count needs x >= 1, got {x}")
+    if not c > 0:
+        raise DomainError(f"threshold coefficient must be positive, got {c}")
+    if x <= 2:
+        return 0
+    if x > SIEVE_LIMIT:
+        raise CapacityError(f"omega tail count at x={x} exceeds {SIEVE_LIMIT}")
+    # no n <= x has x.bit_length() distinct primes, and the clamp keeps an
+    # infinite threshold out of floor
+    k = math.floor(min(omega_threshold(x, c), x.bit_length()))
+    return x - _count_below(x, _prime_tuple(x), 0, x, False, k)

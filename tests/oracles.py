@@ -76,3 +76,15 @@ def first_meeting_pair(items):
 def density(family):
     """The exact sum of the reciprocals of the moduli."""
     return sum((Fraction(1, q) for q in family.q), Fraction(0))
+
+
+def distinct_prime_counts(x):
+    """omega[n], the number of distinct primes dividing n, for 0 <= n <= x:
+    for each prime p <= x, 1 is added at every multiple of p.  A p >= 2 that
+    no smaller prime has marked is prime."""
+    omega = [0] * (x + 1)
+    for p in range(2, x + 1):
+        if omega[p] == 0:
+            for n in range(p, x + 1, p):
+                omega[n] += 1
+    return omega

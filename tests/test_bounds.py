@@ -11,7 +11,6 @@ from apfam.bounds import (
     alpha_exceeding_fraction,
     bounds_report,
     choose_alpha,
-    _distinct_prime_counts,
     omega_tail_count,
     omega_tail_majorant,
     omega_threshold,
@@ -19,11 +18,11 @@ from apfam.bounds import (
     rows_to_csv,
     squarefull_reduce,
 )
-from apfam.construction import ConstructionParams, build_construction
+from apfam.construction import ConstructionParams, build_construction, choose_prime
 from apfam.errors import CapacityError, DomainError
 from apfam.family import Family, Progression, verify_family
-from apfam.numtheory import FACTOR_LIMIT, l_scale
-from oracles import split_squarefull
+from apfam.numtheory import FACTOR_LIMIT, SIEVE_LIMIT, l_scale
+from oracles import distinct_prime_counts, split_squarefull
 
 
 def fam(pairs, x_bound):
@@ -72,6 +71,18 @@ def tail_coefficient(x, threshold):
 OMEGA_MAX = 5000
 OMEGA_REF = [0, 0] + [len(sympy.primefactors(n)) for n in range(2, OMEGA_MAX + 1)]
 SMALL_PRIMES = list(sympy.primerange(2, math.isqrt(OMEGA_MAX) + 1))
+CUBE_PRIMES = [p for p in SMALL_PRIMES if p**3 <= OMEGA_MAX]
+
+
+def tail_of(omega, x, c):
+    # the n <= x whose omega[n] exceeds the threshold at x
+    threshold = omega_threshold(x, c)
+    return sum(1 for w in omega[1 : x + 1] if w > threshold)
+
+
+@pytest.fixture(scope="module")
+def omega_sieve():
+    return distinct_prime_counts(10**6)
 
 
 class TestOmegaTailCount:
@@ -96,12 +107,21 @@ class TestOmegaTailCount:
         )
         assert omega_tail_count(1000, c) == expected
 
+    def test_oracle_matches_sympy(self, omega_sieve):
+        assert omega_sieve[: OMEGA_MAX + 1] == OMEGA_REF
+
+    @pytest.mark.parametrize("x", [10**4, 10**5, 10**6])
+    def test_matches_sieve(self, omega_sieve, x):
+        for c in (0.3, 0.5, 1, 1.5, 2, 3):
+            assert omega_tail_count(x, c) == tail_of(omega_sieve, x, c), c
+
     @given(
         st.one_of(
             st.integers(3, OMEGA_MAX),
-            # the prime-by-prime / multiplier-by-multiplier split moves at
-            # squares and products of two primes
-            st.builds(lambda p: p * p, st.sampled_from(SMALL_PRIMES)),
+            # the recursion closes a subtree once p**2 or p**3 passes what
+            # is left of x, and counts p*q pairs there
+            st.builds(lambda p, d: p * p - d, st.sampled_from(SMALL_PRIMES), st.sampled_from((0, 1))),
+            st.builds(lambda p, d: p**3 - d, st.sampled_from(CUBE_PRIMES), st.sampled_from((0, 1))),
             st.builds(
                 lambda p, q, d: p * q - d,
                 st.sampled_from(SMALL_PRIMES),
@@ -111,12 +131,20 @@ class TestOmegaTailCount:
         ),
         st.floats(0.3, 3.0),
     )
-    def test_table_matches_per_n_count(self, x, c):
-        table = _distinct_prime_counts(x)
-        assert table.tolist() == OMEGA_REF[: x + 1]
-        threshold = omega_threshold(x, c)
-        expected = sum(1 for w in OMEGA_REF[1 : x + 1] if w > threshold)
-        assert omega_tail_count(x, c) == expected
+    def test_matches_per_n_count(self, x, c):
+        assert omega_tail_count(x, c) == tail_of(OMEGA_REF, x, c)
+
+    def test_threshold_past_every_omega(self):
+        # the threshold clamps to x.bit_length() before it is floored
+        assert omega_tail_count(1000, math.inf) == omega_tail_count(1000, 1e308) == 0
+
+    def test_threshold_below_one(self):
+        assert omega_threshold(10**6, 0.3) < 1
+        assert omega_tail_count(10**6, 0.3) == 10**6 - 1
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            omega_tail_count(SIEVE_LIMIT + 1, 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -314,6 +342,17 @@ class TestBoundsReport:
         rows = bounds_report([100], [1 / math.sqrt(2)], kinds=("f_lower",))
         assert rows[0].exact == 6
         assert rows[0].predicted == pytest.approx(100 / l_scale(math.sqrt(2), 100))
+
+    def test_f_lower_counts_the_construction(self):
+        # at x=16 the anchor is 2 for c=0.5 and 151 > x for c=3
+        assert choose_prime(ConstructionParams(x=16, c=0.5)) == 2
+        assert choose_prime(ConstructionParams(x=16, c=3)) == 151
+        xs, cs = (16, 100, 1000, 12345, 10**5, 10**6), (0.5, 1 / math.sqrt(2), 1, 2)
+        grid = [(16, 3)] + [(x, c) for x in xs for c in cs]
+        rows = [bounds_report([x], [c], kinds=("f_lower",))[0].exact for x, c in grid]
+        expected = [build_construction(ConstructionParams(x=x, c=c)).size for x, c in grid]
+        assert rows == expected
+        assert expected[:2] == [0, 1]
 
     def test_degenerate_smallest_x(self):
         rows = bounds_report([16], [1.0])

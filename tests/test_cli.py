@@ -545,13 +545,13 @@ class TestCounts:
             assert manifest["parameters"]["kind"] == [kind.replace("-", "_") for kind in kinds]
             assert [line.split(",")[0] for line in out_file.read_text().splitlines()[1:]] == manifest["parameters"]["kind"]
 
-    @pytest.mark.parametrize("kind", ["psi", "psistar"])
+    @pytest.mark.parametrize("kind", ["psi", "psistar", "f-lower"])
     def test_count_past_the_limit_exits_2_at_once(self, capsys, kind):
         started = time.perf_counter()
         code = main(["counts", "--kind", kind, "--x", str(10**20)])
         assert time.perf_counter() - started < 1
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error:")
 
     # 1e308 overflows the exponent of L(c, x) itself, which exp turns into inf
     @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e308"])
@@ -715,7 +715,7 @@ class TestReadme:
 # not a number at all.
 INTS_MEANT = ["2", "16", "24", "1000"]
 INTS = INTS_MEANT + ["-1", "0", "1", str(10**20), str(10**400), "nan", "1e308", "x"]
-# construct and f-lower walk 2M moduli, about 5 s, before x = 10**20 reaches MODULI_LIMIT
+# construct walks 2M moduli, about 4.4 s, before x = 10**20 reaches MODULI_LIMIT
 FAST_X = [v for v in INTS if v != str(10**20)]
 SCALES_MEANT = ["0.5", "0.7", "1", "2"]
 FLOATS_MEANT = SCALES_MEANT + ["3", "22"]
@@ -768,7 +768,7 @@ def argvs(draw, files):
         "refine": {"--in": files_in, "--omega-cap": floats, "--prime-floor": floats, "--ratio-denom": floats,
                    "--out": out},
         "check-cert": {"--cert": (certs, inputs), "--in": files_in},
-        "counts": {"--x": (INTS_MEANT, FAST_X if "f-lower" in kinds else INTS), "--c": scales, "--out": out},
+        "counts": {"--x": (INTS_MEANT, INTS), "--c": scales, "--out": out},
         "reduce": {"--in": files_in, "--alpha": (INTS_MEANT, INTS), "--out": out},
         "bench": {"--k": (["1", "2", "300", "2000"], ["-1", "0", "1", "2", "300", "2000", "nan"])},
     }[command]
