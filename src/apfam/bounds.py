@@ -176,7 +176,10 @@ def _one_row(kind: str, x: int, c: float) -> CountsRow:
         # build_construction's size: the anchor p times each m <= x // p whose
         # prime powers all lie below p, m = 1 included
         p = choose_prime(ConstructionParams(x=x, c=c))
-        exact = psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
+        try:
+            exact = psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
+        except CapacityError as exc:
+            raise CapacityError(f"f-lower count at x={x}: {exc}") from None
         predicted = x / l_scale(c + 1 / (2 * c), x)
     return CountsRow(kind=kind, x=x, c=c, exact=exact, predicted=predicted)
 

@@ -3,15 +3,17 @@
 Everything here is pure and exact: on Python integers of any size, and in
 factor_table on int64 arrays, which hold every integer up to FACTOR_LIMIT.
 psi, psi_star and omega_tail_count all run one recursion over products of
-primes, _count_below.  The sieves, trial division and counts raise
-CapacityError past their size limits instead of running without bound.
+primes, _count_below; omega_tail_count counts the primes above isqrt(x)
+from a table of pi(x // n), _prime_counter, not from a list.  The sieves,
+trial division and counts raise CapacityError past their size limits
+instead of running without bound.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import CapacityError, DomainError
 SIEVE_LIMIT = 50_000_000
 FACTOR_LIMIT = 10**12
 # psi and psi_star at L(1, x) take about 20 s at 10**11 on a 2-core box, and
-# 5-6 times longer per decade of x
+# 5-6 times longer per decade of x; omega_tail_count shares the limit
 PSI_LIMIT = 10**11
 # entries in one remainder matrix of factor_table: members times primes
 _TABLE_BLOCK = 1 << 13
@@ -28,12 +30,12 @@ _TABLE_BLOCK = 1 << 13
 
 @lru_cache(maxsize=16)
 def _prime_tuple(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+            sieve[p * p :: p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -227,29 +229,34 @@ def _bound_primes(y: float) -> tuple[int, ...]:
     return _prime_tuple(top)
 
 
-def _count_below(x: int, primes: tuple[int, ...], i: int, y: float, power_cap: bool, k: int) -> int:
-    # Counts products of at most k distinct primes of primes[i:] that are
-    # <= x, the empty product included.
+def _count_below(
+    x: int, primes: tuple[int, ...], i: int, y: float, power_cap: bool, k: int, pi: Callable[[int], int]
+) -> int:
+    # Counts products of at most k distinct primes of primes[i:], or of
+    # primes above the list, that are <= x, the empty product included.
+    # pi(v) counts the primes <= v that may be used, those in primes first.
     if k == 0:
         return 1
     total = 1
     for j in range(i, len(primes)):
         p = primes[j]
-        # Once p**2 > x only single primes fit, and each is <= y, so within the cap.
+        # Once p**2 > x only single primes fit, and each is <= y, so within
+        # the cap; none fits when x < p.
         if p * p > x:
-            return total + bisect_right(primes, x, j) - j
+            return total + (pi(x) - j if p <= x else 0)
         # Once p**3 > x, p's subtree is p, p**2 if the cap allows, and p*r
         # for primes r in (p, x // p] if two primes are allowed.
         if p * p * p > x:
             total += 1 + (not power_cap or p * p <= y)
             if k > 1:
-                total += bisect_right(primes, x // p, j + 1) - j - 1
+                total += pi(x // p) - j - 1
             continue
         pa = p
         while pa <= x and (not power_cap or pa <= y):
-            total += _count_below(x // pa, primes, j + 1, y, power_cap, k - 1)
+            total += _count_below(x // pa, primes, j + 1, y, power_cap, k - 1, pi)
             pa *= p
-    return total
+    # single primes above the list, each above every prime listed
+    return total + max(0, pi(x) - len(primes))
 
 
 def _smooth_count(x: int, y: float, power_cap: bool) -> int:
@@ -258,7 +265,7 @@ def _smooth_count(x: int, y: float, power_cap: bool) -> int:
     if x > PSI_LIMIT:
         raise CapacityError(f"smooth count at x={x} exceeds {PSI_LIMIT}")
     primes = _bound_primes(y)
-    return _count_below(x, primes, 0, y, power_cap, len(primes))
+    return _count_below(x, primes, 0, y, power_cap, len(primes), partial(bisect_right, primes))
 
 
 def psi(x: int, y: float) -> int:
@@ -271,12 +278,44 @@ def psi_star(x: int, y: float) -> int:
     return _smooth_count(x, y, power_cap=True)
 
 
+def _prime_counter(x: int, primes: tuple[int, ...]) -> Callable[[int], int]:
+    """pi(v), the count of primes <= v, for every v of the form x // n, from
+    primes, the primes <= isqrt(x).
+
+    Lucy_Hedgehog's sieve: S(v) starts at v - 1, and each prime p in turn
+    removes the numbers whose least prime factor is p, S(v) -= S(v // p) -
+    S(p - 1) for every v >= p * p.  Only the values x // n are kept, small[v]
+    for v <= isqrt(x) and large[i] for v = x // i above it, so the table
+    holds O(sqrt(x)) numbers and builds in O(x**(3/4)) steps.  v // p is
+    again of that form, as (x // a) // b == x // (a * b).
+    """
+    r = math.isqrt(x)
+    index = np.arange(r + 1, dtype=np.int64)
+    small = index - 1
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = x // index[1:] - 1
+    # S(p - 1) is before, the count of the primes below p
+    for before, p in enumerate(primes):
+        # large[i] for i <= x // p**2, through large[i * p] while i * p <= r
+        top = min(r, x // (p * p))
+        near = min(top, r // p)
+        large[1 : near + 1] -= large[p : near * p + 1 : p] - before
+        large[near + 1 : top + 1] -= small[x // p // index[near + 1 : top + 1]] - before
+        # small[v] for v >= p**2, where v // p runs p, p, ... (p times each)
+        if p * p <= r:
+            small[p * p :] -= np.repeat(small[p : r // p + 1] - before, p)[: r - p * p + 1]
+    small, large = small.tolist(), large.tolist()
+    return lambda v: small[v] if v <= r else large[x // v]
+
+
 def omega_tail_count(x: int, c: float) -> int:
     """Count of n <= x with more than c * sqrt(log x / log log x) distinct
     prime factors: x minus the n <= x with at most floor(threshold).
 
-    Returns 0 for x <= 2, where the threshold scale is undefined and no
-    integer has more than one prime factor anyway.
+    The recursion walks the primes <= isqrt(x) and counts the larger ones
+    from a table of pi(x // n), so it needs O(sqrt(x)) memory.  Returns 0
+    for x <= 2, where the threshold scale is undefined and no integer has
+    more than one prime factor anyway.
     """
     if x < 1:
         raise DomainError(f"count needs x >= 1, got {x}")
@@ -284,9 +323,10 @@ def omega_tail_count(x: int, c: float) -> int:
         raise DomainError(f"threshold coefficient must be positive, got {c}")
     if x <= 2:
         return 0
-    if x > SIEVE_LIMIT:
-        raise CapacityError(f"omega tail count at x={x} exceeds {SIEVE_LIMIT}")
+    if x > PSI_LIMIT:
+        raise CapacityError(f"omega tail count at x={x} exceeds {PSI_LIMIT}")
     # no n <= x has x.bit_length() distinct primes, and the clamp keeps an
     # infinite threshold out of floor
     k = math.floor(min(omega_threshold(x, c), x.bit_length()))
-    return x - _count_below(x, _prime_tuple(x), 0, x, False, k)
+    primes = _prime_tuple(math.isqrt(x))
+    return x - _count_below(x, primes, 0, x, False, k, _prime_counter(x, primes))

@@ -8,6 +8,7 @@ library against something independent of it.
 import math
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 
@@ -88,3 +89,30 @@ def distinct_prime_counts(x):
             for n in range(p, x + 1, p):
                 omega[n] += 1
     return omega
+
+
+def distinct_prime_counts_between(lo, hi):
+    """omega[n - lo] for 1 <= lo <= n < hi, as an array: each prime
+    p <= isqrt(hi - 1) adds 1 at its multiples, and n has one more prime,
+    above them all, when the powers of those primes dividing n do not
+    multiply to n."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    omega = np.zeros(hi - lo, dtype=np.int64)
+    found = np.ones(hi - lo, dtype=np.int64)
+    for p in sympy.primerange(2, math.isqrt(hi - 1) + 1):
+        omega[-lo % p :: p] += 1
+        pa = p
+        while pa < hi:
+            found[-lo % pa :: pa] *= p
+            pa *= p
+    return omega + (found != n)
+
+
+def omega_tail_by_blocks(x, c, block=10**6):
+    """The n <= x with more than c * sqrt(log x / log log x) distinct prime
+    factors, counted block by block of distinct_prime_counts_between."""
+    threshold = c * math.sqrt(math.log(x) / math.log(math.log(x)))
+    return sum(
+        int(np.count_nonzero(distinct_prime_counts_between(lo, min(lo + block, x + 1)) > threshold))
+        for lo in range(1, x + 1, block)
+    )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,10 @@ from apfam.bounds import (
 from apfam.construction import ConstructionParams, build_construction, choose_prime
 from apfam.errors import CapacityError, DomainError
 from apfam.family import Family, Progression, verify_family
-from apfam.numtheory import FACTOR_LIMIT, SIEVE_LIMIT, l_scale
-from oracles import distinct_prime_counts, split_squarefull
+from apfam.numtheory import FACTOR_LIMIT, PSI_LIMIT, l_scale
+from oracles import (
+    distinct_prime_counts, distinct_prime_counts_between, omega_tail_by_blocks, split_squarefull
+)
 
 
 def fam(pairs, x_bound):
@@ -142,9 +145,33 @@ class TestOmegaTailCount:
         assert omega_threshold(10**6, 0.3) < 1
         assert omega_tail_count(10**6, 0.3) == 10**6 - 1
 
+    def test_block_oracle_matches_sieve(self, omega_sieve):
+        for lo, hi in ((1, 2), (1, 10**5), (99_991, 10**6 + 1)):
+            assert distinct_prime_counts_between(lo, hi).tolist() == omega_sieve[lo:hi]
+        assert omega_tail_by_blocks(10**6, 1, block=9973) == tail_of(omega_sieve, 10**6, 1)
+
+    @pytest.mark.parametrize(
+        "x, c, expected",
+        # omega_tail_by_blocks(x, c), computed once: 5 s, 5 s and 75 s
+        [(10**8, 1, 71_512_531), (10**8, 2, 1_571_296), (10**9, 1, 742_733_668)],
+    )
+    def test_exact_past_the_sieve_limit(self, x, c, expected):
+        assert omega_tail_count(x, c) == expected
+
+    def test_memory_grows_with_sqrt_x(self):
+        # the primes up to isqrt(x) and the pi(x // n) table take about
+        # 0.3 MB; building a tuple of every prime up to 1e7 peaks at 32 MB
+        tracemalloc.start()
+        try:
+            omega_tail_count(10**7, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            omega_tail_count(SIEVE_LIMIT + 1, 1)
+            omega_tail_count(PSI_LIMIT + 1, 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -545,13 +545,15 @@ class TestCounts:
             assert manifest["parameters"]["kind"] == [kind.replace("-", "_") for kind in kinds]
             assert [line.split(",")[0] for line in out_file.read_text().splitlines()[1:]] == manifest["parameters"]["kind"]
 
-    @pytest.mark.parametrize("kind", ["psi", "psistar", "f-lower"])
+    @pytest.mark.parametrize("kind", ["psi", "psistar", "omega-tail", "f-lower"])
     def test_count_past_the_limit_exits_2_at_once(self, capsys, kind):
         started = time.perf_counter()
         code = main(["counts", "--kind", kind, "--x", str(10**20)])
         assert time.perf_counter() - started < 1
         err = capsys.readouterr().err
         assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error:")
+        # f-lower counts at x // p, but names the x given
+        assert str(10**20) in err
 
     # 1e308 overflows the exponent of L(c, x) itself, which exp turns into inf
     @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e308"])

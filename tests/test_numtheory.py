@@ -10,6 +10,7 @@ from apfam.numtheory import (
     FACTOR_LIMIT,
     Factorization,
     PSI_LIMIT,
+    _prime_counter,
     crt_pair,
     factor_table,
     factorize,
@@ -40,6 +41,25 @@ class TestSievePrimes:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             sieve_primes(10**9)
+
+
+class TestPrimeCounter:
+    @staticmethod
+    def check(x):
+        # every v <= isqrt(x) is x // (x // v), so these are all the x // n
+        r = math.isqrt(x)
+        pi = _prime_counter(x, tuple(sympy.primerange(2, r + 1)))
+        for v in {x // n for n in range(1, r + 1)} | set(range(1, r + 1)):
+            assert pi(v) == sympy.primepi(v), v
+
+    # a prime square, one below it, a prime cube and two non-squares
+    @pytest.mark.parametrize("x", [1009**2, 1009**2 - 1, 97**3, 10**6 + 3, 3 * 10**6])
+    def test_matches_primepi(self, x):
+        self.check(x)
+
+    @given(st.integers(1, 10**5))
+    def test_matches_primepi_drawn(self, x):
+        self.check(x)
 
 
 class TestFactorize:
