@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import ConstructionParams, choose_prime
+from .construction import ConstructionParams, _member_count, choose_prime
 from .errors import CapacityError, DomainError
 from .family import Family
 from .numtheory import (
@@ -120,8 +120,6 @@ def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
     q, a = family.q, family.a
     classes: dict[int, list[int]] = {}  # residue class mod alpha -> indices
     for i in selected:
-        if q[i] % alpha:
-            raise DomainError(f"alpha {alpha} does not divide modulus {q[i]}")
         classes.setdefault(a[i] % alpha, []).append(i)
     best = min(classes, key=lambda b: (-len(classes[b]), b))
     moduli, residues = [], []
@@ -173,11 +171,9 @@ def _one_row(kind: str, x: int, c: float) -> CountsRow:
         exact = omega_tail_count(x, c)
         predicted = x / l_scale(c / 2, x)
     else:  # f_lower: bounds_report has checked the kind
-        # build_construction's size: the anchor p times each m <= x // p whose
-        # prime powers all lie below p, m = 1 included
         p = choose_prime(ConstructionParams(x=x, c=c))
         try:
-            exact = psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
+            exact = _member_count(x, p)
         except CapacityError as exc:
             raise CapacityError(f"f-lower count at x={x}: {exc}") from None
         predicted = x / l_scale(c + 1 / (2 * c), x)

@@ -70,6 +70,11 @@ def _emit(payload: dict) -> None:
     print(text)
 
 
+def _meeting(q_i: int, a_i: int, q_j: int, a_j: int, common: int) -> dict:
+    # two members that share an element, and the smallest one they share
+    return {"q_i": q_i, "a_i": a_i, "q_j": q_j, "a_j": a_j, "common": common}
+
+
 def cmd_construct(args) -> int:
     started = time.perf_counter()
     params = ConstructionParams(x=args.x, c=args.c, squarefree_only=args.squarefree_only)
@@ -88,20 +93,8 @@ def cmd_verify(args) -> int:
         return 0
     w = report.witness
     q, a = family.q, family.a
-    _emit(
-        {
-            "ok": False,
-            "witness": {
-                "i": w.i,
-                "j": w.j,
-                "q_i": q[w.i],
-                "a_i": a[w.i],
-                "q_j": q[w.j],
-                "a_j": a[w.j],
-                "common": w.common,
-            },
-        }
-    )
+    pair = _meeting(q[w.i], a[w.i], q[w.j], a[w.j], w.common)
+    _emit({"ok": False, "witness": {"i": w.i, "j": w.j} | pair})
     return 1
 
 
@@ -304,18 +297,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NotDisjointError as exc:
-        _emit(
-            {
-                "ok": False,
-                "counterexample": {
-                    "q_i": exc.first.modulus,
-                    "a_i": exc.first.residue,
-                    "q_j": exc.second.modulus,
-                    "a_j": exc.second.residue,
-                    "common": exc.common,
-                },
-            }
-        )
+        first, second = exc.first, exc.second
+        pair = _meeting(first.modulus, first.residue, second.modulus, second.residue, exc.common)
+        _emit({"ok": False, "counterexample": pair})
         return 1
     except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 from .family import Family, Progression, _sorted_columns
-from .numtheory import crt_pair, factorize, l_scale, sieve_primes
+from .numtheory import crt_pair, factorize, l_scale, psi_star, sieve_primes
 
 DEFAULT_C = 1 / math.sqrt(2)
 MODULI_LIMIT = 2_000_000
@@ -64,10 +64,17 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
     bound = params.x // p
     if bound < 1:
         return moduli, residues
+    too_many = f"more than {MODULI_LIMIT} moduli at x={params.x}"
+    below = sieve_primes(p)[:-1]  # the primes below the prime p
+    # every product of at most j distinct primes below p is a member once
+    # (p - 1)**j <= bound: refuse at once when those alone pass the limit
+    j = 0
+    while j < len(below) and (p - 1) ** (j + 1) <= bound:
+        j += 1
+    if sum(math.comb(len(below), i) for i in range(j + 1)) > MODULI_LIMIT:
+        raise CapacityError(too_many)
     table = []  # (value, prime, value's inverse mod p)
-    for r in sieve_primes(max(2, p)):
-        if r >= p:
-            break
+    for r in below:
         c = r
         while c < p:
             table.append((c, r, pow(c, -1, p)))
@@ -78,15 +85,12 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
     n = len(table)
     append_q = moduli.append
     append_a = residues.append
-    count = 0
 
     def rec(i, m, res, top, inv):
-        nonlocal count
         append_q(p * m)
         append_a(res + m * ((top - res) * inv % p))
-        count += 1
-        if count > MODULI_LIMIT:
-            raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
+        if len(moduli) > MODULI_LIMIT:
+            raise CapacityError(too_many)
         for j in range(i, n):
             c, r, c_inv = table[j]
             mc = m * c
@@ -98,6 +102,13 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
 
     rec(0, 1, 0, 0, 1)
     return moduli, residues
+
+
+def _member_count(x: int, p: int) -> int:
+    """The size of the full construction at x anchored on the prime p,
+    counted without walking: p times each m <= x // p whose prime powers all
+    lie below p, m = 1 included."""
+    return psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
 
 
 def _chain_residue(chain: list[int], p: int) -> int:
@@ -162,9 +173,7 @@ def truncated_construction(k: int) -> Family:
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     for x in (10**6, 10**7, 10**8, 10**9):
-        params = ConstructionParams(x=x)
-        moduli, residues = _walk(params, choose_prime(params))
-        if len(moduli) >= k:
-            moduli, residues = _sorted_columns(moduli, residues)
-            return Family.from_columns(moduli[:k], residues[:k], x)
+        family = build_construction(ConstructionParams(x=x)).family
+        if family.size >= k:
+            return Family.from_columns(family.q[:k], family.a[:k], x)
     raise CapacityError(f"no supported x yields {k} moduli")

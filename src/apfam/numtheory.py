@@ -220,17 +220,8 @@ def omega_threshold(x: int, c: float) -> float:
     return c * math.sqrt(lx / math.log(lx))
 
 
-def _bound_primes(y: float) -> tuple[int, ...]:
-    top = int(math.floor(y))
-    if top < 2:
-        raise DomainError(f"smoothness bound must be >= 2, got {y}")
-    if top > SIEVE_LIMIT:
-        raise CapacityError(f"smoothness bound {y} exceeds {SIEVE_LIMIT}")
-    return _prime_tuple(top)
-
-
 def _count_below(
-    x: int, primes: tuple[int, ...], i: int, y: float, power_cap: bool, k: int, pi: Callable[[int], int]
+    x: int, primes: Sequence[int], i: int, y: float, power_cap: bool, k: int, pi: Callable[[int], int]
 ) -> int:
     # Counts products of at most k distinct primes of primes[i:], or of
     # primes above the list, that are <= x, the empty product included.
@@ -264,7 +255,10 @@ def _smooth_count(x: int, y: float, power_cap: bool) -> int:
         raise DomainError(f"count needs x >= 1, got {x}")
     if x > PSI_LIMIT:
         raise CapacityError(f"smooth count at x={x} exceeds {PSI_LIMIT}")
-    primes = _bound_primes(y)
+    if not y >= 2:
+        raise DomainError(f"smoothness bound must be >= 2, got {y}")
+    # a prime above x divides no n <= x
+    primes = sieve_primes(math.floor(min(y, x))) if x > 1 else []
     return _count_below(x, primes, 0, y, power_cap, len(primes), partial(bisect_right, primes))
 
 

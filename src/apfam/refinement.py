@@ -175,11 +175,11 @@ def _in_class(members, p: int, b: int, residues, primes: list[list[int]]) -> lis
 
 
 def _stop_witness(
-    members, used: tuple[int, ...], params: RefinementParams, primes: list[list[int]]
+    members, counts: Counter, used: tuple[int, ...], params: RefinementParams
 ) -> tuple[int, int] | None:
     # the stopping rule: an unused prime of at least prime_floor dividing
-    # at least |members| / ratio_denominator of the members
-    counts = _prime_counts(members, primes)
+    # at least |members| / ratio_denominator of the members, by counts,
+    # how many members each prime divides
     eligible = [p for p in counts if p >= params.prime_floor and p not in used]
     prime = min(eligible, key=lambda p: (-counts[p], p), default=None)
     if prime is not None and counts[prime] * params.ratio_denominator >= len(members):
@@ -209,7 +209,8 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     used: tuple[int, ...] = ()
     combined = 0
     while True:
-        hit = _stop_witness(members, used, params, primes)
+        counts = _prime_counts(members, primes)
+        hit = _stop_witness(members, counts, used, params)
         if hit is not None:
             # hit is the witness prime and its divisible count
             return RefinementCertificate(params, base_items, tuple(steps), len(steps), *hit)
@@ -229,11 +230,12 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
             merged = crt_pair(a[chosen], q[chosen], a[other], q[other])
             raise NotDisjointError(base_items[chosen], base_items[other], merged[0])
 
-        counts = _prime_counts(members, primes)
         prime = min(candidates, key=lambda e: (-counts[e], e))
-        sizes = Counter(a[i] % prime for i in _divisible(members, prime, primes))
-        residue_class = min(sizes, key=lambda b: (-sizes[b], b))
-        members = _in_class(members, prime, residue_class, a, primes)
+        classes: dict[int, list[int]] = {}  # residue mod prime -> members, in order
+        for i in _divisible(members, prime, primes):
+            classes.setdefault(a[i] % prime, []).append(i)
+        residue_class = min(classes, key=lambda b: (-len(classes[b]), b))
+        members = classes[residue_class]
         combined = crt_pair(combined, math.prod(used), residue_class, prime)[0]
         used += (prime,)
         steps.append(

@@ -83,6 +83,17 @@ class TestConstruct:
         )
         assert code == 0 and last_json(out)["t"] == 4
 
+    @pytest.mark.parametrize("shape", [[], ["--squarefree-only"]])
+    def test_oversized_construction_refused_at_once(self, tmp_path, capsys, shape):
+        # at 10**20 the anchor is 11971, and the products of at most three of
+        # the 1435 primes below it, 4.9e8 members, pass MODULI_LIMIT unwalked
+        out_file = tmp_path / "f.jsonl"
+        started = time.perf_counter()
+        code = main(["construct", "--x", str(10**20), *shape, "--out", str(out_file)])
+        assert time.perf_counter() - started < 1
+        assert code == 2 and not out_file.exists()
+        assert capsys.readouterr().err == f"error: more than 2000000 moduli at x={10**20}\n"
+
     @pytest.mark.parametrize("flag", ["--include-p", "--no-include-p"])
     def test_anchor_flag_is_gone(self, tmp_path, capsys, flag):
         # the bare anchor p is always a member; no switch drops it
@@ -529,6 +540,12 @@ class TestCounts:
         code, _ = run(capsys, "counts", "--kind", "psi", "--x", "10")
         assert code == 2
 
+    def test_scale_past_the_sieve_limit_counts_every_n(self, capsys):
+        # L(10, 100) is 3.3e11, past the sieve limit, but no prime above x counts
+        code, out = run(capsys, "counts", "--kind", "psi", "--x", "100", "--c", "10")
+        assert code == 0
+        assert out.splitlines()[1].startswith("psi,100,10,100,")
+
     def test_repeated_kind_gives_rows_kind_by_kind(self, tmp_path, capsys):
         grid = ["--x", "1000", "--x", "100", "--c", "1", "--c", "0.5"]
         code, out = run(capsys, "counts", "--kind", "psistar", "--kind", "psi", *grid)
@@ -717,8 +734,6 @@ class TestReadme:
 # not a number at all.
 INTS_MEANT = ["2", "16", "24", "1000"]
 INTS = INTS_MEANT + ["-1", "0", "1", str(10**20), str(10**400), "nan", "1e308", "x"]
-# construct walks 2M moduli, about 4.4 s, before x = 10**20 reaches MODULI_LIMIT
-FAST_X = [v for v in INTS if v != str(10**20)]
 SCALES_MEANT = ["0.5", "0.7", "1", "2"]
 FLOATS_MEANT = SCALES_MEANT + ["3", "22"]
 FLOATS = FLOATS_MEANT + ["-1", "0", "1e-300", "nan", "inf", "-inf", "1e308", str(10**20), str(10**400)]
@@ -764,7 +779,7 @@ def argvs(draw, files):
     files_in, out = (families, inputs), (outputs[:1], outputs)
     floats, scales = (FLOATS_MEANT, FLOATS), (SCALES_MEANT, FLOATS)
     flags = {
-        "construct": {"--x": (INTS_MEANT, FAST_X), "--c": scales, "--squarefree-only": None, "--out": out},
+        "construct": {"--x": (INTS_MEANT, INTS), "--c": scales, "--squarefree-only": None, "--out": out},
         "verify": {"--in": files_in},
         "solve": {"--x": (INTS_MEANT, INTS), "--emit-witness": out},
         "refine": {"--in": files_in, "--omega-cap": floats, "--prime-floor": floats, "--ratio-denom": floats,

@@ -216,6 +216,13 @@ class TestTruncated:
         part = truncated_construction(100)
         assert part.items == full.items[:100]
 
+    # 2961 and 14784 members at x = 10**6 and 10**7: the last k each x
+    # holds, and the first it does not
+    @pytest.mark.parametrize("k, x", [(2961, 10**6), (2962, 10**7), (14784, 10**7), (14785, 10**8)])
+    def test_cut_of_the_construction_at_decade_edges(self, k, x):
+        full = build_construction(ConstructionParams(x=x)).family
+        assert truncated_construction(k) == Family.from_columns(full.q[:k], full.a[:k], x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             truncated_construction(0)

@@ -376,6 +376,11 @@ class TestSmoothCounts:
             assert psi(x, y) == plain
             assert psi_star(x, y) == star
 
+    def test_bound_past_x_counts_every_n(self):
+        # no prime above x divides an n <= x, so the sieve stops at x
+        assert psi(100, 10**8) == psi_star(100, 10**8) == 100
+        assert psi(1, 5) == psi_star(1, 5) == 1
+
     def test_star_never_exceeds_plain(self):
         for x in (10, 100, 1000):
             for y in (2, 5, 20):
