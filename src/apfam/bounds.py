@@ -117,7 +117,7 @@ def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
     reduced_bound = max(2, family.x_bound // alpha)
     if not selected:
         return Family.from_columns((), (), reduced_bound)
-    q, a = family.q, family.a
+    q, a = family.q.tolist(), family.a.tolist()
     classes: dict[int, list[int]] = {}  # residue class mod alpha -> indices
     for i in selected:
         classes.setdefault(a[i] % alpha, []).append(i)

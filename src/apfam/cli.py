@@ -92,8 +92,8 @@ def cmd_verify(args) -> int:
         _emit({"ok": True, "pairs": report.pair_count, "digest": report.digest})
         return 0
     w = report.witness
-    q, a = family.q, family.a
-    pair = _meeting(q[w.i], a[w.i], q[w.j], a[w.j], w.common)
+    (qi, qj), (ai, aj) = family.q[[w.i, w.j]].tolist(), family.a[[w.i, w.j]].tolist()
+    pair = _meeting(qi, ai, qj, aj, w.common)
     _emit({"ok": False, "witness": {"i": w.i, "j": w.j} | pair})
     return 1
 

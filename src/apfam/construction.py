@@ -10,10 +10,11 @@ the family is pairwise disjoint by the gcd criterion.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .family import Family, Progression, _sorted_columns
+from .family import INT64_MAX, Family, Progression, _sorted_columns
 from .numtheory import crt_pair, factorize, l_scale, psi_star, sieve_primes
 
 DEFAULT_C = 1 / math.sqrt(2)
@@ -41,8 +42,9 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
-    """Every member q = p*m <= x, unsorted, and its residue, as two columns.
+def _walk(params: ConstructionParams, p: int) -> tuple[array | list, array | list]:
+    """Every member q = p*m <= x, unsorted, and its residue, as two columns:
+    array('q') when x fits in int64, else lists of Python ints.
 
     m multiplies prime powers below p (primes only when squarefree_only) in
     ascending value: each step takes a power after the last one taken whose
@@ -60,7 +62,7 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
     with n = c or p, which is coprime to m; inv(m) mod p is carried as a
     product of the powers' inverses.
     """
-    moduli, residues = [], []
+    moduli, residues = (array("q"), array("q")) if params.x <= INT64_MAX else ([], [])
     bound = params.x // p
     if bound < 1:
         return moduli, residues
@@ -101,6 +103,7 @@ def _walk(params: ConstructionParams, p: int) -> tuple[list[int], list[int]]:
                 rec(j + 1, mc, step, c, inv * c_inv % p)
 
     rec(0, 1, 0, 0, 1)
+    del rec  # rec's closure holds rec: without this the cycle keeps the columns to the next collection
     return moduli, residues
 
 
@@ -175,5 +178,6 @@ def truncated_construction(k: int) -> Family:
     for x in (10**6, 10**7, 10**8, 10**9):
         family = build_construction(ConstructionParams(x=x)).family
         if family.size >= k:
-            return Family.from_columns(family.q[:k], family.a[:k], x)
+            # copies, so the cut does not keep the whole construction alive
+            return Family.from_columns(family.q[:k].copy(), family.a[:k].copy(), x)
     raise CapacityError(f"no supported x yields {k} moduli")

@@ -11,13 +11,14 @@ order.
 
 import bisect
 import hashlib
+import io
 import json
 import math
 import operator
-import re
 import warnings
+from array import array
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +29,11 @@ NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
 SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
 LEAF_SIZE = 8  # a set this small is scanned, not split
 INT64_MAX = int(np.iinfo(np.int64).max)
-# A progression line exactly as _lines writes it.  The digit cap leaves
-# integers past int()'s default 4300-digit limit to the json path.
-_CANONICAL_LINE = re.compile(r'\{"q": (0|[1-9][0-9]{0,999}), "a": (0|[1-9][0-9]{0,999})\}\n?')
+_WRITE_ROWS = 1024  # members formatted by one % in _lines
+_READ_CHARS = 1 << 16  # the text a family file is read in, about 64 KB
+# A canonical progression line is _LINE_HEAD, a value, _LINE_MID, a value,
+# "}\n".  Values of at most _LINE_DIGITS digits fit in int64.
+_LINE_HEAD, _LINE_MID, _LINE_DIGITS = b'{"q": ', b', "a": ', 18
 
 
 def _reduced(residue: int, modulus: int) -> int:
@@ -62,44 +65,44 @@ class Progression:
 class Family:
     """Progressions with strictly increasing moduli, all within [2, x_bound].
 
-    A family is stored as two tuples of ints, q (the moduli) and a (their
-    residues), so a large one holds no object per member.  items, the
-    members as Progressions, is built on first use and cached; the cache is
-    no part of ==, hash or pickle.  Family(items, x_bound) and
-    from_columns(q, a, x_bound) validate alike: each member by _reduced,
-    the family by _init.
+    A family is stored as two read-only columns, q (the moduli) and a
+    (their residues), each made by _column: int64 when every value fits,
+    else an object array of Python ints, so a large family holds no object
+    per member.  items, the members as Progressions, is built on first use
+    and cached; the cache is no part of ==, hash or pickle.
+    Family(items, x_bound) and from_columns(q, a, x_bound) validate alike:
+    each member by _reduced, the family by _init.
     """
 
     __slots__ = ("q", "a", "x_bound", "_items")
 
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
-        moduli = tuple([pr.modulus for pr in items])
-        self._init(moduli, tuple([pr.residue for pr in items]), x_bound, items)
+        moduli = _column([pr.modulus for pr in items])
+        self._init(moduli, _column([pr.residue for pr in items]), x_bound, items)
 
     @classmethod
     def from_columns(cls, moduli: Iterable[int], residues: Iterable[int], x_bound: int) -> "Family":
         """The family of members residues[i] mod moduli[i], checked and
-        reduced as Family(items, x_bound) checks the Progressions they make."""
-        moduli, residues = tuple(moduli), tuple(residues)
-        if len(moduli) != len(residues):
-            raise StructuralError(f"{len(moduli)} moduli but {len(residues)} residues")
-        if moduli and not (
-            min(moduli) >= 2 and min(residues) >= 0 and all(map(operator.lt, residues, moduli))
-        ):
-            residues = tuple(map(_reduced, residues, moduli))
+        reduced as Family(items, x_bound) checks the Progressions they make.
+        An int64 array passed in is taken over, not copied: see _column."""
+        q, a = _column(moduli), _column(residues)
+        if q.size != a.size:
+            raise StructuralError(f"{q.size} moduli but {a.size} residues")
+        if q.size and not ((q >= 2).all() and (a >= 0).all() and (a < q).all()):
+            a = _column(list(map(_reduced, a.tolist(), q.tolist())))
         family = object.__new__(cls)
-        family._init(moduli, residues, x_bound, None)
+        family._init(q, a, x_bound, None)
         return family
 
-    def _init(self, q: tuple, a: tuple, x_bound: int, items) -> None:
+    def _init(self, q: np.ndarray, a: np.ndarray, x_bound: int, items) -> None:
         # every member is already checked; this checks the family
         if x_bound < 2:
             raise StructuralError(f"x_bound must be >= 2, got {x_bound}")
-        if not all(map(operator.lt, q, q[1:])):
-            k = next(k for k in range(1, len(q)) if q[k] <= q[k - 1])
+        if not _increasing(q):
+            k = int(np.argmax(q[1:] <= q[:-1])) + 1
             raise StructuralError(f"moduli must strictly increase, {q[k]} after {q[k - 1]}")
-        if q and q[-1] > x_bound:
+        if q.size and int(q[-1]) > x_bound:
             raise StructuralError(f"modulus {q[-1]} exceeds x_bound {x_bound}")
         for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", items)):
             object.__setattr__(self, name, value)
@@ -114,32 +117,40 @@ class Family:
     def items(self) -> tuple[Progression, ...]:
         """The members as Progressions, built on first use."""
         if self._items is None:
-            object.__setattr__(self, "_items", _progressions(self.q, self.a))
+            object.__setattr__(self, "_items", _progressions(self.q.tolist(), self.a.tolist()))
         return self._items
 
     @property
     def size(self) -> int:
-        return len(self.q)
+        return self.q.size
 
     def moduli(self) -> list[int]:
-        return list(self.q)
+        return self.q.tolist()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.x_bound, self.q, self.a) == (other.x_bound, other.q, other.a)
+        # columns are canonical, so equal values have equal dtypes
+        return (
+            self.x_bound == other.x_bound
+            and np.array_equal(self.q, other.q)
+            and np.array_equal(self.a, other.a)
+        )
 
     def __hash__(self):
-        return hash((self.x_bound, self.q, self.a))
+        return hash(self.__getstate__())
 
     def __repr__(self):
-        return f"Family.from_columns({self.q!r}, {self.a!r}, {self.x_bound!r})"
+        return f"Family.from_columns({self.q.tolist()!r}, {self.a.tolist()!r}, {self.x_bound!r})"
 
     def __getstate__(self):
-        return self.q, self.a, self.x_bound
+        # bytes or Python ints, never arrays: pickle hands an array's data
+        # to the file out of band, which a plain file-like writer cannot take
+        return _column_state(self.q), _column_state(self.a), self.x_bound
 
     def __setstate__(self, state):
-        self._init(*state, None)
+        q, a, x_bound = state
+        self._init(_column_from_state(q), _column_from_state(a), x_bound, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -148,28 +159,71 @@ class Family:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _column(values) -> np.ndarray:
+    """values as a family column: a read-only 1-D array, int64 when every
+    value fits in int64, else an object array of Python ints.
+
+    An int64 array, and the walk's array('q'), is taken over without a
+    copy and made read-only; its caller keeps no other use of it.
+    """
+    if isinstance(values, array):
+        values = np.frombuffer(values, dtype=np.int64)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            values = list(values)
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            values = np.array(list(map(operator.index, values)), dtype=object)
+    values.flags.writeable = False
+    return values
+
+
+def _column_state(column: np.ndarray) -> bytes | tuple[int, ...]:
+    # what pickles a column: its bytes when int64, else its Python ints
+    return column.astype("<i8", copy=False).tobytes() if column.dtype == np.int64 else tuple(column.tolist())
+
+
+def _column_from_state(state: bytes | tuple[int, ...]) -> np.ndarray:
+    if isinstance(state, bytes):
+        return _column(np.frombuffer(state, dtype="<i8").astype(np.int64, copy=False))
+    return _column(state)
+
+
+def _increasing(q: np.ndarray) -> bool:
+    return bool((q[1:] > q[:-1]).all())
+
+
 def _progressions(moduli: Sequence[int], residues: Sequence[int]) -> tuple[Progression, ...]:
     # Family.items' builder; no hot path calls it
     return tuple(map(Progression, residues, moduli))
 
 
-def _sorted_columns(moduli: list[int], residues: list[int]) -> tuple[list[int], list[int]]:
-    """Both columns ordered by modulus, stably, as Family.build orders
+def _sorted_columns(moduli, residues) -> tuple[np.ndarray, np.ndarray]:
+    """Both as columns, ordered by modulus, stably, as Family.build orders
     members; each residue must lie in [0, its modulus)."""
-    if all(map(operator.lt, moduli, moduli[1:])):
-        return moduli, residues
-    # int64 when it holds every value, else Python ints compared as objects
-    dtype = np.int64 if max(moduli) <= INT64_MAX else object
-    q, a = np.array(moduli, dtype=dtype), np.array(residues, dtype=dtype)
+    q, a = _column(moduli), _column(residues)
+    if _increasing(q):
+        return q, a
     order = np.argsort(q, kind="stable")
-    return q[order].tolist(), a[order].tolist()
+    return q[order], a[order]
 
 
 def translate(family: Family, shift: int) -> Family:
     """Shift every progression by the same constant; disjointness is unaffected."""
-    moduli = family.q
-    residues = [(a + shift) % q for a, q in zip(family.a, moduli)]
-    return Family.from_columns(moduli, residues, family.x_bound)
+    q, a = family.q, family.a
+    if q.dtype == object:
+        residues = [(r + shift) % m for r, m in zip(a.tolist(), q.tolist())]
+    else:
+        # shift mod each modulus, in Python ints when shift is past int64
+        if -INT64_MAX <= shift <= INT64_MAX:
+            step = np.remainder(np.int64(shift), q)
+        else:
+            step = (shift % q.astype(object)).astype(np.int64)
+        # a - (q - step) lies in (-q, q), so no sum reaches 2**63
+        residues = a - (q - step)
+        residues += q * (residues < 0)
+    return Family.from_columns(q, residues, family.x_bound)
 
 
 @dataclass(frozen=True)
@@ -192,15 +246,15 @@ class VerificationReport:
 class _RowScanner:
     """Exact pair tests, row by row, keeping the first meeting pair found.
 
-    A row with NUMPY_CUTOVER or more partners runs in numpy when every
-    modulus fits in int64; every other row runs on Python integers.
+    A row with NUMPY_CUTOVER or more partners runs in numpy when the
+    moduli are an int64 column; every other row runs on Python integers.
     """
 
     def __init__(self, moduli: Sequence[int], residues: Sequence[int]):
-        self.q = moduli
-        self.a = residues
-        self.wide = max(self.q, default=0) > INT64_MAX
-        self.arrays = None  # (q, a) as int64, built on the first numpy row
+        q, a = _column(moduli), _column(residues)
+        self.q = q.tolist()
+        self.a = a.tolist()
+        self.arrays = (q, a) if q.dtype == a.dtype == np.int64 else None
         self.best = None
 
     def scan(self, rows: list[int], partners: list[int]) -> None:
@@ -215,10 +269,8 @@ class _RowScanner:
             if self.best is not None and i > self.best[0]:
                 return
             k = bisect.bisect_right(partners, i)
-            if len(partners) - k >= NUMPY_CUTOVER and not self.wide:
+            if len(partners) - k >= NUMPY_CUTOVER and self.arrays is not None:
                 if block is None:
-                    if self.arrays is None:
-                        self.arrays = (np.array(q, dtype=np.int64), np.array(a, dtype=np.int64))
                     js = np.array(partners, dtype=np.intp)
                     block = (self.arrays[0][js], self.arrays[1][js])
                 bad = (a[i] - block[1][k:]) % np.gcd(q[i], block[0][k:]) == 0
@@ -340,22 +392,24 @@ def verify_family(family: Family) -> VerificationReport:
     first meeting pair (i, j) in the order of a scan over every i < j, and
     carries the smallest common element of the pair.
     """
-    q, a = family.q, family.a
-    n = len(q)
-    hit = _scan_partition(q, a)
+    n = family.size
+    hit = _scan_partition(family.q, family.a)
     pair_count = n * (n - 1) // 2
     if hit is None:
         return VerificationReport(True, None, pair_count, family_digest(family))
     i, j = hit
-    merged = crt_pair(a[i], q[i], a[j], q[j])
+    (qi, qj), (ai, aj) = family.q[[i, j]].tolist(), family.a[[i, j]].tolist()
+    merged = crt_pair(ai, qi, aj, qj)
     return VerificationReport(False, Witness(i, j, merged[0]), pair_count, None)
 
 
 def _lines(family: Family) -> Iterable[str]:
-    # The bytes json.dumps gives each line's object, formatted directly.
+    # The bytes json.dumps gives each line's object, formatted directly,
+    # a block of members at a time.
     yield '{"x": %d, "count": %d}\n' % (family.x_bound, family.size)
-    for q, a in zip(family.q, family.a):
-        yield f'{{"q": {q}, "a": {a}}}\n'
+    for start in range(0, family.size, _WRITE_ROWS):
+        rows = np.column_stack((family.q[start : start + _WRITE_ROWS], family.a[start : start + _WRITE_ROWS]))
+        yield '{"q": %d, "a": %d}\n' * len(rows) % tuple(rows.ravel().tolist())
 
 
 def dumps_family(family: Family) -> str:
@@ -393,43 +447,130 @@ def _parse_line(line: str, number: int) -> dict:
     return row
 
 
-def _parse_family(lines: Iterable[str]) -> Family:
-    """A family from its JSON lines, taken one at a time; blank lines skipped."""
-    numbered = enumerate((line for line in lines if line.strip()), 1)
-    first = next(numbered, None)
-    if first is None:
-        raise FamilyFormatError("empty family file")
-    header = _parse_line(first[1], 1)
-    x_bound = _require_int(header.get("x"), "header: field 'x'")
-    count = _require_int(header.get("count"), "header: field 'count'")
-    moduli, residues = [], []
-    for number, line in numbered:
-        canonical = _CANONICAL_LINE.fullmatch(line)
-        if canonical:
-            q, a = int(canonical[1]), int(canonical[2])
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of chunks in blocks of whole lines: every block but the
+    last ends with a line break."""
+    pending = []
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = []
+        pending.append(chunk[cut:])
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _canonical_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The moduli and residues of a block whose every line is canonical, as
+    _lines writes it, with values of at most _LINE_DIGITS digits; else None.
+
+    The bytes are classed as digits or not; the digit runs must be two
+    per line and every byte around them the canonical text.  Intermediates
+    over the bytes are bool or uint8, so a block costs a few times its size.
+    """
+    if not block.isascii():
+        return None
+    if not block.endswith("\n"):
+        block += "\n"  # the last line of a file without a final line break
+    text = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    digit = text - np.uint8(ord("0")) < 10  # bytes below "0" wrap past 9
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # first digit of each run
+    stops = np.flatnonzero(digit[:-1] > digit[1:]) + 1  # one past its last
+    if starts.size != 2 * ends.size or stops.size != starts.size:
+        return None
+    q0, q1, a0, a1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
+    heads = np.concatenate(([0], ends[:-1] + 1))
+    if not ((q0 == heads + len(_LINE_HEAD)).all() and (a0 == q1 + len(_LINE_MID)).all() and (ends == a1 + 1).all()):
+        return None
+    for at, literal in ((heads, _LINE_HEAD), (q1, _LINE_MID), (a1, b"}")):
+        for k, byte in enumerate(literal):
+            if (text[at + k] != byte).any():
+                return None
+    for run_starts, run_stops in ((q0, q1), (a0, a1)):
+        widths = run_stops - run_starts
+        if widths.max() > _LINE_DIGITS or ((widths > 1) & (text[run_starts] == ord("0"))).any():
+            return None
+    return _digit_values(text, q0, q1), _digit_values(text, a0, a1)
+
+
+def _digit_values(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    # the values of the digit runs text[starts[i]:stops[i]], read a digit
+    # place at a time with each run right-aligned at the widest one's width;
+    # a place before its run's start reads some other byte, masked to 0
+    width = int((stops - starts).max())
+    values = np.zeros(starts.size, dtype=np.int64)
+    for at in range(-width, 0):
+        place = stops + at
+        values = values * 10 + np.where(place >= starts, text[place] - np.uint8(ord("0")), np.uint8(0))
+    return values
+
+
+def _parse_family(chunks: Iterable[str]) -> Family:
+    """A family from its JSON lines, given as text in chunks; blank lines
+    skipped.
+
+    Blocks of canonical lines are read in numpy; a block with any other
+    line is read a line at a time by json.  Either way a member is reduced
+    or rejected by _reduced in line order, and lines are numbered in error
+    messages as the non-blank lines they are.
+    """
+    header = None
+    number = 0  # non-blank lines so far, the header included
+    moduli, residues = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for block in _blocks(chunks):
+        start = 0
+        while header is None and start < len(block):
+            end = block.find("\n", start) + 1 or len(block)
+            if block[start:end].strip():
+                header = _parse_line(block[start:end], 1)
+                x_bound = _require_int(header.get("x"), "header: field 'x'")
+                count = _require_int(header.get("count"), "header: field 'count'")
+                number = 1
+            start = end
+        block = block[start:]
+        columns = _canonical_block(block) if block else None
+        if columns is not None:
+            q, a = columns
+            for i in np.flatnonzero((q < 2) | (a >= q)).tolist():
+                a[i] = _reduced(int(a[i]), int(q[i]))
+            number += q.size
         else:
-            row = _parse_line(line, number)
-            q = _require_int(row.get("q"), f"line {number}: field 'q'")
-            a = _require_int(row.get("a"), f"line {number}: field 'a'")
-        if q < 2 or not 0 <= a < q:
-            a = _reduced(a, q)
-        moduli.append(q)
-        residues.append(a)
-    if count != len(moduli):
+            q, a = [], []
+            # each line keeps its line break, as a file's lines do
+            for line in io.StringIO(block, newline="\n"):
+                if not line.strip():
+                    continue
+                number += 1
+                row = _parse_line(line, number)
+                qi = _require_int(row.get("q"), f"line {number}: field 'q'")
+                ai = _require_int(row.get("a"), f"line {number}: field 'a'")
+                if qi < 2 or not 0 <= ai < qi:
+                    ai = _reduced(ai, qi)
+                q.append(qi)
+                a.append(ai)
+        moduli.append(_column(q))
+        residues.append(_column(a))
+    if header is None:
+        raise FamilyFormatError("empty family file")
+    if count != number - 1:
         raise FamilyFormatError(
-            f"header count {count} but {len(moduli)} progression lines"
+            f"header count {count} but {number - 1} progression lines"
         )
-    return Family.from_columns(*_sorted_columns(moduli, residues), x_bound)
+    return Family.from_columns(*_sorted_columns(np.concatenate(moduli), np.concatenate(residues)), x_bound)
 
 
 def loads_family(text: str) -> Family:
-    return _parse_family(text.split("\n"))
+    return _parse_family(text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
 
 
 def read_family(path) -> Family:
     # newline="\n" splits lines exactly where loads_family does
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
-            return _parse_family(fh)
+            return _parse_family(iter(lambda: fh.read(_READ_CHARS), ""))
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"not UTF-8 text ({exc.reason})") from exc

@@ -133,9 +133,12 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
     factorize's, and the first modulus in order that factorize rejects
     raises the same error here.
     """
-    if moduli and not 1 <= min(moduli) <= max(moduli) <= FACTOR_LIMIT:
-        factorize(next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT))
-    rest = np.array(moduli, dtype=np.int64)
+    try:
+        rest = np.array(moduli, dtype=np.int64)
+    except OverflowError:  # a modulus past int64
+        rest = None
+    if rest is None or rest.size and not 1 <= rest.min() <= rest.max() <= FACTOR_LIMIT:
+        factorize(int(next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT)))
     top = math.isqrt(int(rest.max())) if rest.size else 1
     sieved = _primes_for(top)
     primes = np.array(sieved[: bisect_right(sieved, top)], dtype=np.int64)

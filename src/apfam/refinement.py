@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _squarefree_table(moduli: list[int]) -> FactorTable:
     return table
 
 
-def _prime_map(moduli: list[int], params: RefinementParams) -> tuple[list[bool], list[list[int]]]:
+def _prime_map(moduli: np.ndarray, params: RefinementParams) -> tuple[np.ndarray, list[list[int]]]:
     # which moduli _eligible keeps, and the ascending primes of each one
     # kept, in order, from one factor table.  A modulus is squarefree, so
     # p divides it exactly when p is in its list.
@@ -132,7 +132,7 @@ def _prime_map(moduli: list[int], params: RefinementParams) -> tuple[list[bool],
         below = primes[start : start + count]
         lists.append(below + [cofactor] if cofactor > 1 else below)
         start += count
-    return keep.tolist(), lists
+    return keep, lists
 
 
 def _eligible(family: Family, params: RefinementParams) -> tuple[Family, list[list[int]]]:
@@ -140,7 +140,7 @@ def _eligible(family: Family, params: RefinementParams) -> tuple[Family, list[li
     # above prime_floor, both strictly, and the primes of each one kept, in
     # order.  Requires every modulus squarefree.
     keep, primes = _prime_map(family.q, params)
-    kept = Family.from_columns(compress(family.q, keep), compress(family.a, keep), family.x_bound)
+    kept = Family.from_columns(family.q[keep], family.a[keep], family.x_bound)
     return kept, primes
 
 
@@ -197,7 +197,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     itself on one member with no unused prime, which raises DomainError.
     """
     base, primes = _eligible(family, params)
-    q, a = base.q, base.a
+    q, a = base.q.tolist(), base.a.tolist()
     # the certificate's own Progressions, not the family's items view
     base_items = tuple(map(Progression, a, q))
     if not q:
@@ -267,8 +267,8 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         expected_base, primes = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
-    q, a = expected_base.q, expected_base.a
-    if tuple(pr.modulus for pr in cert.base) != q or tuple(pr.residue for pr in cert.base) != a:
+    q, a = expected_base.q.tolist(), expected_base.a.tolist()
+    if [pr.modulus for pr in cert.base] != q or [pr.residue for pr in cert.base] != a:
         return CertificateCheck(False, "base")
     if cert.t != len(cert.steps):
         return CertificateCheck(False, "structure")

@@ -76,7 +76,7 @@ def first_meeting_pair(items):
 
 def density(family):
     """The exact sum of the reciprocals of the moduli."""
-    return sum((Fraction(1, q) for q in family.q), Fraction(0))
+    return sum((Fraction(1, q) for q in family.moduli()), Fraction(0))
 
 
 def distinct_prime_counts(x):

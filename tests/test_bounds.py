@@ -21,7 +21,7 @@ from apfam.bounds import (
 )
 from apfam.construction import ConstructionParams, build_construction, choose_prime
 from apfam.errors import CapacityError, DomainError
-from apfam.family import Family, Progression, verify_family
+from apfam.family import Family, Progression, read_family, verify_family, write_family
 from apfam.numtheory import FACTOR_LIMIT, PSI_LIMIT, l_scale
 from oracles import (
     distinct_prime_counts, distinct_prime_counts_between, omega_tail_by_blocks, split_squarefull
@@ -168,6 +168,29 @@ class TestOmegaTailCount:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_family_memory_holds_no_int_per_member(self, tmp_path):
+        # The x = 1e8 construction's 72,222 members take 1.2 MB as two int64
+        # columns.  Measured: the build peaks at 2.9 MB (the walk's columns,
+        # then their sorted copies) and the read at 2.4 MB (the parsed blocks,
+        # then one column of them all); with a Python int per member they
+        # peaked at 14 MB and 7.0 MB
+        build_construction(ConstructionParams(x=1000))  # first calls fill the prime tables
+        path = tmp_path / "fam.jsonl"
+        tracemalloc.start()
+        try:
+            family = build_construction(ConstructionParams(x=10**8)).family
+            built = tracemalloc.get_traced_memory()[1]
+            write_family(family, path)
+            del family
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            family = read_family(path)
+            read = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert family.size == 72_222
+        assert built < 4 * 2**20 and read < 3.5 * 2**20
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -177,7 +177,7 @@ class TestVerify:
 
 FUZZ_INTS = st.one_of(
     st.integers(-3, 70).map(str),
-    st.integers(10**999, 10**1000 - 1).map(str),  # the canonical pattern's longest
+    st.integers(10**999, 10**1000 - 1).map(str),  # far past int64, read by json
     st.just("9" * 5000),  # past int()'s default digit limit
 )
 BAD_LINES = [

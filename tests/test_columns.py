@@ -1,5 +1,6 @@
-"""A Family stores its moduli and residues as two int columns; its items
-view of Progressions is built only when a caller asks for it."""
+"""A Family stores its moduli and residues as two read-only columns, int64
+or Python ints; its items view of Progressions is built only when a caller
+asks for it."""
 
 import hashlib
 import json
@@ -7,6 +8,7 @@ import pickle
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -18,6 +20,7 @@ from apfam.bounds import (
     squarefull_reduce,
 )
 from apfam.cli import main
+from apfam.errors import NotDisjointError
 from apfam.construction import ConstructionParams, build_construction, truncated_construction
 from apfam.errors import DomainError, StructuralError
 from apfam.family import (
@@ -31,7 +34,7 @@ from apfam.family import (
     verify_family,
     write_family,
 )
-from apfam.refinement import RefinementParams, build_chain, check_certificate
+from apfam.refinement import RefinementParams, build_chain, certificate_to_dict, check_certificate
 from apfam.solver import SearchConfig, solve_exact
 
 
@@ -68,8 +71,8 @@ def test_apfam_paths_never_build_the_view(no_view, tmp_path, capsys):
 
     assert verify_family(again).ok
     scale = 2**63  # the second family's moduli are past int64
-    for q, x_bound in ((list(again.q), again.x_bound), ([m * scale for m in again.q[:250]], again.x_bound * scale)):
-        a = list(again.a[: len(q)])
+    for q, x_bound in ((again.q.tolist(), again.x_bound), ([m * scale for m in again.q[:250].tolist()], again.x_bound * scale)):
+        a = again.a[: len(q)].tolist()
         assert verify_family(Family.from_columns(q, a, x_bound)).ok
         a[200] = a[3] % q[200]  # member 200 moved into member 3's class mod their gcd
         report = verify_family(Family.from_columns(q, a, x_bound))
@@ -157,6 +160,42 @@ class TestValueContract:
         with pytest.raises(StructuralError):
             Family.from_columns([2, 4], [0], 10)
 
+    @pytest.mark.parametrize("top", [2**63 - 1, 2**63])
+    def test_column_dtype_either_side_of_int64(self, top):
+        moduli, residues = [3, 2**62 + 1, top], [1, 2**62, top - 1]
+        by_columns = Family.from_columns(moduli, residues, top)
+        by_items = Family([Progression(a, q) for q, a in zip(moduli, residues)], top)
+        by_arrays = Family.from_columns(np.array(moduli, dtype=object), np.array(residues, dtype=object), top)
+        assert by_columns.q.dtype == (np.int64 if top < 2**63 else object)
+        assert by_columns.a.dtype == np.int64  # top - 1 fits
+        for other in (by_items, by_arrays, pickle.loads(pickle.dumps(by_columns))):
+            assert other == by_columns and hash(other) == hash(by_columns)
+            assert other.q.dtype == by_columns.q.dtype and pickle.dumps(other) == pickle.dumps(by_columns)
+        assert by_columns != Family.from_columns(moduli[:2], residues[:2], top)
+        assert [type(q) for q in by_columns.moduli()] == [int] * 3
+        with pytest.raises(ValueError):
+            by_columns.q[0] = 5
+        with pytest.raises(ValueError):
+            by_columns.a[0] = 0
+
+    @pytest.mark.parametrize("scale", [1, 2**70])
+    def test_pickles_into_a_plain_writer(self, scale):
+        # a writer that takes a len() of every chunk, as a hashing sink does:
+        # pickled arrays would reach it as PickleBuffers, which have none
+        class Sink:
+            def __init__(self):
+                self.chunks = []
+
+            def write(self, data):
+                self.chunks.append(bytes(data))
+                return len(data)
+
+        family = truncated_construction(300)
+        family = Family.from_columns([q * scale for q in family.moduli()], family.a, family.x_bound * scale)
+        sink = Sink()
+        pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(family)
+        assert pickle.loads(b"".join(sink.chunks)) == family
+
     def test_frozen(self):
         family = Family.from_columns([2, 4], [0, 1], 4)
         with pytest.raises(AttributeError):
@@ -169,7 +208,7 @@ class TestValueContract:
     def test_lines_read_in_any_order(self, rng, wide):
         family = truncated_construction(40)
         scale = 2**70 if wide else 1  # past int64: the sort compares Python ints
-        family = Family.from_columns([q * scale for q in family.q], family.a, family.x_bound * scale)
+        family = Family.from_columns([q * scale for q in family.q.tolist()], family.a, family.x_bound * scale)
         header, *lines = dumps_family(family).splitlines(keepends=True)
         rng.shuffle(lines)
         assert loads_family(header + "".join(lines)) == family
@@ -182,3 +221,39 @@ class TestValueContract:
         assert Family.build([Progression(a, q) for a, q in rows], family.x_bound) == family
         with pytest.raises(DomainError):
             Family.from_columns([q for _, q in rows], [a for a, _ in rows], family.x_bound)
+
+
+def python_ints(value) -> bool:
+    """Every number in value, a JSON-like tree, is a Python int (or float)."""
+    if isinstance(value, dict):
+        return all(map(python_ints, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(python_ints, value))
+    return value is None or type(value) in (int, float, bool, str)
+
+
+def test_outputs_hold_python_ints(tmp_path, capsys):
+    family = build_construction(ConstructionParams(x=10**6)).family
+    q, a = family.moduli(), family.a.tolist()
+    a[500] = a[7] % q[500]
+    meets = tmp_path / "meets.jsonl"
+    write_family(Family.from_columns(q, a, family.x_bound), meets)
+    assert main(["verify", "--in", str(meets)]) == 1
+    witness = json.loads(capsys.readouterr().out.splitlines()[-1])["witness"]
+    assert (witness["i"], witness["j"]) == (7, 500) and python_ints(witness)
+    report = verify_family(read_family(meets))
+    assert python_ints([report.witness.i, report.witness.j, report.witness.common])
+
+    pair = tmp_path / "pair.jsonl"
+    write_family(Family.build([Progression(1, 802), Progression(1, 1227)], 2406), pair)
+    argv = ["--omega-cap", "3.5", "--prime-floor", "400", "--ratio-denom", "1.5"]
+    assert main(["refine", "--in", str(pair), "--out", str(tmp_path / "c.json")] + argv) == 1
+    assert python_ints(json.loads(capsys.readouterr().out.splitlines()[-1])["counterexample"])
+    with pytest.raises(NotDisjointError) as caught:
+        build_chain(read_family(pair), RefinementParams(x=2406, omega_cap=3.5, prime_floor=400, ratio_denominator=1.5))
+    error = caught.value
+    assert python_ints([error.first.modulus, error.first.residue, error.second.modulus, error.second.residue, error.common])
+
+    squarefree = build_construction(ConstructionParams(x=10**4, squarefree_only=True)).family
+    cert = build_chain(squarefree, RefinementParams(x=10**4, prime_floor=22, ratio_denominator=2))
+    assert cert.base and python_ints(certificate_to_dict(cert))

@@ -73,7 +73,7 @@ class TestEnumerateModuli:
     def test_anchor_beyond_x_gives_nothing(self):
         # c = 3 puts the anchor at 151, past x = 16
         result = build_construction(ConstructionParams(x=16, c=3))
-        assert result.p == 151 and result.family.q == ()
+        assert result.p == 151 and result.family.size == 0
 
     def test_membership_rule(self):
         # every q = p*m <= x with prime-power factors of m below p, and no others

@@ -1,12 +1,11 @@
-import io
 import json
 import math
 import random
-import re
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +19,6 @@ from apfam.errors import DomainError, FamilyFormatError, StructuralError
 from apfam.numtheory import crt_pair
 from apfam.family import (
     NUMPY_CUTOVER,
-    _CANONICAL_LINE,
     Family,
     Progression,
     _scan_dense,
@@ -55,8 +53,8 @@ def contains(pr, n):
 
 SEVEN_EIGHTHS = [(0, 2), (1, 4), (3, 8)]
 
-# Progression lines as _lines writes them, and near misses the pattern must
-# leave to the json path.
+# Progression lines as _lines writes them, and near misses the block parser
+# must leave to the json path.
 LINE_FORMS = [
     '{"q": %s, "a": %s}',
     '{"q": 0%s, "a": %s}',
@@ -70,10 +68,16 @@ LINE_FORMS = [
     '{"q": %s.0, "a": %s}',
     '{"q": %s, "a": %s, "a": 1}',
     '{"q": "%s", "a": %s}',
+    '{"q"  %s, "a": %s}',  # one byte off at each part of the canonical text
+    '{"q": %s, "a"; %s}',
+    '{"q": %s, "a": %s)',
 ]
 PAST_INT_LIMIT = "9" * 5000  # past int()'s default 4300-digit limit, so kept as text
 LINE_INTS = st.one_of(
     st.integers(0, 70).map(str),
+    # either side of the block parser's 18-digit cap, and of int64's end
+    st.sampled_from([18, 19]).flatmap(lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1).map(str)),
+    st.integers(2**63 - 3, 2**63 + 3).map(str),
     st.sampled_from([999, 1000, 1001]).flatmap(
         lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1).map(str)
     ),
@@ -83,11 +87,13 @@ LINE_INTS = st.one_of(
 
 @st.composite
 def family_texts(draw):
-    lines = ['{"x": %d, "count": %d}' % (10**1100, draw(st.integers(0, 6)))]
-    for _ in range(draw(st.integers(0, 5))):
+    lines = ['{"x": %d, "count": %d}' % (10**1100, draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 8))):
         near_miss = st.sampled_from(LINE_FORMS[1:] + ['{"a": %s, "q": %s}'])
-        form = draw(st.one_of(st.just(LINE_FORMS[0]), near_miss))
+        form = draw(st.one_of(st.just(LINE_FORMS[0]), st.just(LINE_FORMS[0]), near_miss))
         lines.append(form % (draw(LINE_INTS), draw(LINE_INTS)))
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, before the header too
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -425,6 +431,18 @@ class TestTranslate:
         f = fam(SEVEN_EIGHTHS, 8)
         assert translate(translate(f, 5), -5) == f
 
+    @pytest.mark.parametrize("shift", [0, 1, -1, 2**62, -(2**63), 2**63 - 1, 2**64 + 3, -(2**64 + 3), 3**90])
+    @pytest.mark.parametrize("top", [2**62, 2**63 - 1, 2**63 + 1])
+    def test_shift_past_int64(self, shift, top):
+        # int64 moduli near 2**62 and 2**63, where a + shift would pass int64
+        moduli = [5, top - 4, top - 2, top]
+        residues = [4, top - 5, (top - 2) // 2, top - 1]
+        f = Family.from_columns(moduli, residues, top)
+        shifted = translate(f, shift)
+        assert shifted.q.dtype == f.q.dtype == (np.int64 if top < 2**63 else object)
+        expected = [(a + shift) % q for q, a in zip(moduli, residues)]
+        assert shifted.a.tolist() == expected and shifted == Family.from_columns(moduli, expected, top)
+
 
 class TestSerialization:
     def test_golden_bytes(self):
@@ -469,26 +487,31 @@ class TestSerialization:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
-    @given(family_texts())
-    def test_canonical_pattern_agrees_with_json_path(self, text):
-        for parse in (
-            lambda: loads_family(text),
-            lambda: family_module._parse_family(io.StringIO(text, newline="\n")),
-        ):
-            fast = _outcome(parse)
-            with mock.patch.object(family_module, "_CANONICAL_LINE", re.compile("(?!)")):
-                slow = _outcome(parse)
-            assert fast == slow
+    @given(family_texts(), st.sampled_from([1, 7, 40, 2**16]))
+    def test_canonical_pattern_agrees_with_json_path(self, text, chars):
+        # chars small splits the text into blocks of a line or a few, with
+        # lines across the edges of the chunks read
+        with mock.patch.object(family_module, "_READ_CHARS", chars):
+            fast = _outcome(lambda: loads_family(text))
+            with mock.patch.object(family_module, "_canonical_block", lambda block: None):
+                slow = _outcome(lambda: loads_family(text))
+        assert fast == slow
 
     def test_canonical_pattern_takes_written_lines_only(self):
-        for q, a in ((2, 0), (10**999, 10**999 - 1)):
+        canonical = family_module._canonical_block
+        for q, a in ((2, 0), (10**18 - 1, 10**17), (10, 9)):
             line = '{"q": %d, "a": %d}' % (q, a)
-            assert _CANONICAL_LINE.fullmatch(line).groups() == (str(q), str(a))
-            assert _CANONICAL_LINE.fullmatch(line + "\n")
-        for q in (str(10**1000), PAST_INT_LIMIT):
-            assert not _CANONICAL_LINE.fullmatch('{"q": %s, "a": 0}\n' % q)
+            for text in (line, line + "\n", (line + "\n") * 3):
+                moduli, residues = canonical(text)
+                assert moduli.dtype == residues.dtype == np.int64
+                assert moduli.tolist() == [q] * text.count("}") and residues.tolist() == [a] * text.count("}")
+        for q in (str(10**18), str(2**63), str(10**1000), PAST_INT_LIMIT):
+            assert canonical('{"q": %s, "a": 0}\n' % q) is None
         for form in LINE_FORMS[1:]:
-            assert not _CANONICAL_LINE.fullmatch(form % (5, 3) + "\n")
+            assert canonical(form % (5, 3) + "\n") is None
+            assert canonical('{"q": 2, "a": 0}\n' + form % (5, 3) + "\n") is None
+        for text in ("\n", '{"q": 2, "a": 0}\n\n', "{\u00e9}\n"):
+            assert canonical(text) is None
         with pytest.raises(FamilyFormatError):
             loads_family('{"x": 8, "count": 1}\n{"q": %s, "a": 0}\n' % PAST_INT_LIMIT)
 
