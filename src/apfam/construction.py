@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 from .family import INT64_MAX, Family, Progression, _sorted_columns
-from .numtheory import crt_pair, factorize, l_scale, psi_star, sieve_primes
+from .numtheory import _smooth_count, crt_pair, factorize, l_scale, sieve_primes
 
 DEFAULT_C = 1 / math.sqrt(2)
 MODULI_LIMIT = 2_000_000
@@ -61,22 +61,17 @@ def _walk(params: ConstructionParams, p: int) -> tuple[array | list, array | lis
     and t (mod p).  Each is one step res + m*((t - res) * inv(m) mod n)
     with n = c or p, which is coprime to m; inv(m) mod p is carried as a
     product of the powers' inverses.
+
+    Refused up front when the member count capped at MODULI_LIMIT passes it.
     """
+    if _member_count(params.x, p, params.squarefree_only, MODULI_LIMIT) > MODULI_LIMIT:
+        raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
     moduli, residues = (array("q"), array("q")) if params.x <= INT64_MAX else ([], [])
     bound = params.x // p
     if bound < 1:
         return moduli, residues
-    too_many = f"more than {MODULI_LIMIT} moduli at x={params.x}"
-    below = sieve_primes(p)[:-1]  # the primes below the prime p
-    # every product of at most j distinct primes below p is a member once
-    # (p - 1)**j <= bound: refuse at once when those alone pass the limit
-    j = 0
-    while j < len(below) and (p - 1) ** (j + 1) <= bound:
-        j += 1
-    if sum(math.comb(len(below), i) for i in range(j + 1)) > MODULI_LIMIT:
-        raise CapacityError(too_many)
     table = []  # (value, prime, value's inverse mod p)
-    for r in below:
+    for r in sieve_primes(p)[:-1]:  # the primes below the prime p
         c = r
         while c < p:
             table.append((c, r, pow(c, -1, p)))
@@ -91,8 +86,6 @@ def _walk(params: ConstructionParams, p: int) -> tuple[array | list, array | lis
     def rec(i, m, res, top, inv):
         append_q(p * m)
         append_a(res + m * ((top - res) * inv % p))
-        if len(moduli) > MODULI_LIMIT:
-            raise CapacityError(too_many)
         for j in range(i, n):
             c, r, c_inv = table[j]
             mc = m * c
@@ -107,11 +100,13 @@ def _walk(params: ConstructionParams, p: int) -> tuple[array | list, array | lis
     return moduli, residues
 
 
-def _member_count(x: int, p: int) -> int:
-    """The size of the full construction at x anchored on the prime p,
-    counted without walking: p times each m <= x // p whose prime powers all
-    lie below p, m = 1 included."""
-    return psi_star(x // p, p - 1) if 2 < p <= x else int(p <= x)
+def _member_count(x: int, p: int, squarefree: bool = False, limit: float = math.inf) -> int:
+    """The size of the construction at x anchored on the prime p, counted
+    without walking: p times each m <= x // p, m = 1 included, whose prime
+    powers (primes, when squarefree) all lie below p.  Exact up to limit,
+    and past it some value above limit, in about limit steps."""
+    top = 1 if squarefree else p - 1
+    return _smooth_count(x // p, p - 1, top, limit) if 2 < p <= x else int(p <= x)
 
 
 def _chain_residue(chain: list[int], p: int) -> int:
@@ -170,14 +165,15 @@ def build_construction(params: ConstructionParams) -> ConstructionResult:
 def truncated_construction(k: int) -> Family:
     """A disjoint family of exactly k members, for benchmarking verify.
 
-    Grows x until the construction has at least k moduli and keeps the k
-    smallest.
+    Builds the construction at the first x on the ladder whose member count
+    is at least k, and keeps the k smallest.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     for x in (10**6, 10**7, 10**8, 10**9):
-        family = build_construction(ConstructionParams(x=x)).family
-        if family.size >= k:
+        params = ConstructionParams(x=x)
+        if _member_count(x, choose_prime(params), limit=k) >= k:
+            family = build_construction(params).family
             # copies, so the cut does not keep the whole construction alive
             return Family.from_columns(family.q[:k].copy(), family.a[:k].copy(), x)
     raise CapacityError(f"no supported x yields {k} moduli")

@@ -2,11 +2,11 @@
 
 Everything here is pure and exact: on Python integers of any size, and in
 factor_table on int64 arrays, which hold every integer up to FACTOR_LIMIT.
-psi, psi_star and omega_tail_count all run one recursion over products of
-primes, _count_below; omega_tail_count counts the primes above isqrt(x)
-from a table of pi(x // n), _prime_counter, not from a list.  The sieves,
-trial division and counts raise CapacityError past their size limits
-instead of running without bound.
+psi, psi_star, omega_tail_count and the construction's member count all
+run one recursion over products of primes, _count_below; omega_tail_count
+counts the primes above isqrt(x) from a table of pi(x // n), _prime_counter.
+The sieves, trial division and uncapped counts raise CapacityError past
+their size limits; a count capped at n stops once it passes n.
 """
 
 import math
@@ -22,7 +22,8 @@ from .errors import CapacityError, DomainError
 SIEVE_LIMIT = 50_000_000
 FACTOR_LIMIT = 10**12
 # psi and psi_star at L(1, x) take about 20 s at 10**11 on a 2-core box, and
-# 5-6 times longer per decade of x; omega_tail_count shares the limit
+# 5-6 times longer per decade of x; omega_tail_count shares the limit.  A
+# count capped below it needs no such limit: it stops once it passes the cap
 PSI_LIMIT = 10**11
 # entries in one remainder matrix of factor_table: members times primes
 _TABLE_BLOCK = 1 << 13
@@ -224,55 +225,64 @@ def omega_threshold(x: int, c: float) -> float:
 
 
 def _count_below(
-    x: int, primes: Sequence[int], i: int, y: float, power_cap: bool, k: int, pi: Callable[[int], int]
+    x: int, primes: Sequence[int], i: int, top: float, k: int, pi: Callable[[int], int], limit: int
 ) -> int:
     # Counts products of at most k distinct primes of primes[i:], or of
-    # primes above the list, that are <= x, the empty product included.
+    # primes above the list, that are <= x, the empty product included; a
+    # prime's powers past the first count only while they are <= top.
     # pi(v) counts the primes <= v that may be used, those in primes first.
-    if k == 0:
+    # The count is exact while it is <= limit; past limit it returns some
+    # total above limit, checked after each prime's subtree.  Each call adds
+    # at least 1, so a count capped at limit takes about limit steps
+    # whatever x is.
+    if k == 0 or limit < 1:
         return 1
     total = 1
     for j in range(i, len(primes)):
         p = primes[j]
-        # Once p**2 > x only single primes fit, and each is <= y, so within
-        # the cap; none fits when x < p.
+        # Once p**2 > x only single primes fit; none fits when x < p.
         if p * p > x:
             return total + (pi(x) - j if p <= x else 0)
-        # Once p**3 > x, p's subtree is p, p**2 if the cap allows, and p*r
+        # Once p**3 > x, p's subtree is p, p**2 if top allows, and p*r
         # for primes r in (p, x // p] if two primes are allowed.
         if p * p * p > x:
-            total += 1 + (not power_cap or p * p <= y)
+            total += 1 + (p * p <= top)
             if k > 1:
                 total += pi(x // p) - j - 1
             continue
         pa = p
-        while pa <= x and (not power_cap or pa <= y):
-            total += _count_below(x // pa, primes, j + 1, y, power_cap, k - 1, pi)
+        while pa <= x and (pa == p or pa <= top):
+            total += _count_below(x // pa, primes, j + 1, top, k - 1, pi, limit - total)
             pa *= p
+        if total > limit:
+            return total
     # single primes above the list, each above every prime listed
     return total + max(0, pi(x) - len(primes))
 
 
-def _smooth_count(x: int, y: float, power_cap: bool) -> int:
+def _smooth_count(x: int, y: float, top: float, limit: float = math.inf) -> int:
+    # n <= x whose primes are <= y and whose prime powers past the first are
+    # <= top, or past limit some value above it
     if x < 1:
         raise DomainError(f"count needs x >= 1, got {x}")
-    if x > PSI_LIMIT:
+    limit = min(x, limit)  # no count of n <= x passes x
+    if limit > PSI_LIMIT:
         raise CapacityError(f"smooth count at x={x} exceeds {PSI_LIMIT}")
     if not y >= 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     # a prime above x divides no n <= x
     primes = sieve_primes(math.floor(min(y, x))) if x > 1 else []
-    return _count_below(x, primes, 0, y, power_cap, len(primes), partial(bisect_right, primes))
+    return _count_below(x, primes, 0, top, len(primes), partial(bisect_right, primes), limit)
 
 
 def psi(x: int, y: float) -> int:
     """Count of n <= x whose prime factors are all <= y."""
-    return _smooth_count(x, y, power_cap=False)
+    return _smooth_count(x, y, x)
 
 
 def psi_star(x: int, y: float) -> int:
     """Count of n <= x whose prime-power factors p**a (a maximal) are all <= y."""
-    return _smooth_count(x, y, power_cap=True)
+    return _smooth_count(x, y, y)
 
 
 def _prime_counter(x: int, primes: tuple[int, ...]) -> Callable[[int], int]:
@@ -326,4 +336,4 @@ def omega_tail_count(x: int, c: float) -> int:
     # infinite threshold out of floor
     k = math.floor(min(omega_threshold(x, c), x.bit_length()))
     primes = _prime_tuple(math.isqrt(x))
-    return x - _count_below(x, primes, 0, x, False, k, _prime_counter(x, primes))
+    return x - _count_below(x, primes, 0, x, k, _prime_counter(x, primes), x)

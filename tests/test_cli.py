@@ -83,16 +83,29 @@ class TestConstruct:
         )
         assert code == 0 and last_json(out)["t"] == 4
 
+    @pytest.mark.parametrize("x", [10**11, 10**12, 10**13, 10**20])
     @pytest.mark.parametrize("shape", [[], ["--squarefree-only"]])
-    def test_oversized_construction_refused_at_once(self, tmp_path, capsys, shape):
-        # at 10**20 the anchor is 11971, and the products of at most three of
-        # the 1435 primes below it, 4.9e8 members, pass MODULI_LIMIT unwalked
+    def test_oversized_construction_refused_at_once(self, tmp_path, capsys, shape, x):
+        # the member count stops once it passes MODULI_LIMIT, before the walk:
+        # at 10**20 the products of at most three of the 1435 primes below
+        # the anchor 11971 alone are 4.9e8 members
         out_file = tmp_path / "f.jsonl"
         started = time.perf_counter()
-        code = main(["construct", "--x", str(10**20), *shape, "--out", str(out_file)])
+        code = main(["construct", "--x", str(x), *shape, "--out", str(out_file)])
         assert time.perf_counter() - started < 1
         assert code == 2 and not out_file.exists()
-        assert capsys.readouterr().err == f"error: more than 2000000 moduli at x={10**20}\n"
+        assert capsys.readouterr().err == f"error: more than 2000000 moduli at x={x}\n"
+
+    @pytest.mark.parametrize("shape, size", [([], 480), (["--squarefree-only"], 128)])
+    def test_small_construction_past_the_count_limit_builds(self, tmp_path, capsys, shape, size):
+        # the anchor is 19 and x // 19 passes PSI_LIMIT; the member count,
+        # capped at MODULI_LIMIT, runs anyway
+        out_file = tmp_path / "f.jsonl"
+        code, out = run(
+            capsys, "construct", "--x", str(10**13), "--c", "0.3", *shape, "--out", str(out_file)
+        )
+        summary = last_json(out)
+        assert code == 0 and summary["p"] == 19 and summary["t"] == size
 
     @pytest.mark.parametrize("flag", ["--include-p", "--no-include-p"])
     def test_anchor_flag_is_gone(self, tmp_path, capsys, flag):

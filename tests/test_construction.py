@@ -8,6 +8,7 @@ from apfam import construction
 from apfam.construction import (
     DEFAULT_C,
     ConstructionParams,
+    _member_count,
     assign_residue,
     build_construction,
     choose_prime,
@@ -87,6 +88,19 @@ class TestEnumerateModuli:
 
     def test_count_at_1e6(self):
         assert len(moduli(ConstructionParams(x=10**6))) == 2961
+
+    @pytest.mark.parametrize("squarefree", [False, True])
+    def test_member_count_is_the_walk(self, squarefree):
+        # at x=16 the anchor is 2 for c=0.5 and 151 > x for c=3
+        xs, cs = (16, 100, 1000, 12345, 10**5, 10**6), (0.5, 1 / math.sqrt(2), 1, 2)
+        for x, c in [(16, 3)] + [(x, c) for x in xs for c in cs]:
+            params = ConstructionParams(x=x, c=c, squarefree_only=squarefree)
+            p, size = choose_prime(params), build_construction(params).size
+            assert _member_count(x, p, squarefree) == size
+            # capped: exact up to the cap, above it past the cap
+            assert _member_count(x, p, squarefree, limit=size) == size
+            if size:
+                assert _member_count(x, p, squarefree, limit=size - 1) > size - 1
 
     @pytest.mark.parametrize("squarefree", [False, True])
     def test_capacity_fires_past_the_limit(self, monkeypatch, squarefree):
