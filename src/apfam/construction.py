@@ -10,8 +10,9 @@ the family is pairwise disjoint by the gcd criterion.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, DomainError
 from .family import INT64_MAX, Family, Progression, _sorted_columns
@@ -42,62 +43,106 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int) -> tuple[array | list, array | list]:
+def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Every member q = p*m <= x, unsorted, and its residue, as two columns:
-    array('q') when x fits in int64, else lists of Python ints.
+    int64 when x fits in int64, else object arrays of Python ints.
 
-    m multiplies prime powers below p (primes only when squarefree_only) in
-    ascending value: each step takes a power after the last one taken whose
-    prime m lacks.  m's prime powers sorted by value are one increasing
-    sequence, so every m is reached exactly once, and the list being sorted
-    lets the step stop at the first power that overshoots x // p.
+    m multiplies prime powers below p (primes only when squarefree_only).
+    One pass takes the powers c in ascending value, and at each extends at
+    once every m made so far that c's prime does not divide and for which
+    m*c <= x // p.  m's prime powers sorted by value are one increasing
+    sequence, and m is made at the step of the largest, from the m without
+    it, made at an earlier step; so every m is reached exactly once.  Only
+    an m with m*c <= x // p can grow at step c or later: the active set
+    loses the others and gains only the m just made.  At a prime c no m
+    made so far has c as a factor, since each is a product of smaller
+    powers.
 
-    The step's power is thus the largest of m's so far, the top of its
-    chain, and the chain's CRT is carried down with m: res is the residue
-    mod m pinned to 0 at the smallest power and at each power to the next
-    one down; t starts at 0, which pins the first power to 0 and the bare
-    anchor p to residue 0.  Taking c above the top t gives res' = res
-    (mod m) and res' = t (mod c), and the member's residue is res (mod m)
-    and t (mod p).  Each is one step res + m*((t - res) * inv(m) mod n)
-    with n = c or p, which is coprime to m; inv(m) mod p is carried as a
-    product of the powers' inverses.
+    Each m carries res, its residue mod m pinned to 0 at its smallest
+    power and at each power to the next one down, and top, its largest
+    power (0 for m = 1).  Extending m by c takes res' = res (mod m) and
+    res' = top (mod c), which is res + m*((top - res) * inv_c(m) mod c),
+    with inv_c(m) the inverse of m mod c.  The member's residue is res
+    (mod m) and top (mod p): the same step with p for c.  This is the
+    chain _chain_residue takes from the top down, built from the bottom
+    up.  Every value met is at most x, or below p*p for a product of two
+    residues mod c or p, and p < SIEVE_LIMIT, so the int64 columns are
+    exact whenever x fits in int64.
 
-    Refused up front when the member count capped at MODULI_LIMIT passes it.
+    The columns are allocated at the member count, which refuses up front
+    when it passes MODULI_LIMIT.
     """
-    if _member_count(params.x, p, params.squarefree_only, MODULI_LIMIT) > MODULI_LIMIT:
+    size = _member_count(params.x, p, params.squarefree_only, MODULI_LIMIT)
+    if size > MODULI_LIMIT:
         raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
-    moduli, residues = (array("q"), array("q")) if params.x <= INT64_MAX else ([], [])
+    dtype = np.int64 if params.x <= INT64_MAX else object
+    m, res, top = (np.zeros(size, dtype) for _ in range(3))
+    if not size:
+        return m, res
     bound = params.x // p
-    if bound < 1:
-        return moduli, residues
-    table = []  # (value, prime, value's inverse mod p)
+    table = []  # (prime power, its prime), each power at most bound
     for r in sieve_primes(p)[:-1]:  # the primes below the prime p
         c = r
-        while c < p:
-            table.append((c, r, pow(c, -1, p)))
+        while c < p and c <= bound:
+            table.append((c, r))
             if params.squarefree_only:
                 break
             c *= r
     table.sort()
-    n = len(table)
-    append_q = moduli.append
-    append_a = residues.append
+    m[0] = filled = 1
+    active = np.zeros(1, np.intp)  # the m that may still grow
+    for c, r in table:
+        values = m[active]
+        keep = values <= bound // c
+        active, values = active[keep], values[keep]
+        if not active.size:
+            break
+        parents = active
+        if c != r:
+            grow = values % r != 0
+            parents, values = active[grow], values[grow]
+        new = slice(filled, filled + parents.size)
+        base = res[parents]
+        step = top[parents] - base
+        step *= _inverse(values, c, r)
+        step %= c
+        step *= values
+        step += base
+        res[new] = step
+        values *= c
+        m[new] = values
+        top[new] = c
+        active = np.concatenate((active, np.arange(new.start, new.stop)))
+        filled = new.stop
+    m, res, top = m[:filled], res[:filled], top[:filled]
+    top -= res
+    top *= _inverse(m, p, p)
+    top %= p
+    top *= m
+    top += res
+    m *= p
+    return m, top
 
-    def rec(i, m, res, top, inv):
-        append_q(p * m)
-        append_a(res + m * ((top - res) * inv % p))
-        for j in range(i, n):
-            c, r, c_inv = table[j]
-            mc = m * c
-            if mc > bound:
-                break
-            if m % r:
-                step = res + m * ((top - res) * pow(m, -1, c) % c)
-                rec(j + 1, mc, step, c, inv * c_inv % p)
 
-    rec(0, 1, 0, 0, 1)
-    del rec  # rec's closure holds rec: without this the cycle keeps the columns to the next collection
-    return moduli, residues
+def _inverse(values: np.ndarray, c: int, r: int) -> np.ndarray:
+    """The inverses mod c of values coprime to c, the power c of the prime
+    r, in values' dtype: k**(phi(c) - 1) mod c by square-and-multiply, over
+    every residue k mod c when c is below the number of values, else over
+    the values mod c.  Every product is below c*c < SIEVE_LIMIT**2."""
+    residues = (values % c).astype(np.int64, copy=False)
+    table = c < values.size
+    power = np.arange(c, dtype=np.int64) if table else residues
+    out = np.ones_like(power)
+    e = c - c // r - 1
+    while e:
+        if e & 1:
+            out *= power
+            out %= c
+        e >>= 1
+        if e:
+            power *= power
+            power %= c
+    return (out[residues] if table else out).astype(values.dtype, copy=False)
 
 
 def _member_count(x: int, p: int, squarefree: bool = False, limit: float = math.inf) -> int:

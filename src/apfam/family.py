@@ -16,7 +16,6 @@ import json
 import math
 import operator
 import warnings
-from array import array
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -163,11 +162,9 @@ def _column(values) -> np.ndarray:
     """values as a family column: a read-only 1-D array, int64 when every
     value fits in int64, else an object array of Python ints.
 
-    An int64 array, and the walk's array('q'), is taken over without a
-    copy and made read-only; its caller keeps no other use of it.
+    An int64 array is taken over without a copy and made read-only; its
+    caller keeps no other use of it.
     """
-    if isinstance(values, array):
-        values = np.frombuffer(values, dtype=np.int64)
     if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
         if not isinstance(values, (list, tuple, np.ndarray)):
             values = list(values)
@@ -200,12 +197,13 @@ def _progressions(moduli: Sequence[int], residues: Sequence[int]) -> tuple[Progr
 
 
 def _sorted_columns(moduli, residues) -> tuple[np.ndarray, np.ndarray]:
-    """Both as columns, ordered by modulus, stably, as Family.build orders
-    members; each residue must lie in [0, its modulus)."""
+    """Both as columns, ordered by modulus; each residue must lie in
+    [0, its modulus).  Equal moduli may come out in either order: a family
+    rejects them by value alone, "moduli must strictly increase, v after v"."""
     q, a = _column(moduli), _column(residues)
     if _increasing(q):
         return q, a
-    order = np.argsort(q, kind="stable")
+    order = np.argsort(q)
     return q[order], a[order]
 
 

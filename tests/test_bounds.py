@@ -171,10 +171,11 @@ class TestOmegaTailCount:
 
     def test_family_memory_holds_no_int_per_member(self, tmp_path):
         # The x = 1e8 construction's 72,222 members take 1.2 MB as two int64
-        # columns.  Measured: the build peaks at 2.9 MB (the walk's columns,
-        # then their sorted copies) and the read at 2.4 MB (the parsed blocks,
-        # then one column of them all); with a Python int per member they
-        # peaked at 14 MB and 7.0 MB
+        # columns.  Measured: the build peaks at 2.85 MB (five columns: the
+        # walk's three and two for the inverses of its last step, then two,
+        # their sort order and sorted copies) and the read at 2.3 MB (the
+        # parsed blocks, then one column of them all); with a Python int per
+        # member they peaked at 14 MB and 7.0 MB
         build_construction(ConstructionParams(x=1000))  # first calls fill the prime tables
         path = tmp_path / "fam.jsonl"
         tracemalloc.start()

@@ -202,6 +202,19 @@ class TestBuildConstruction:
                 expected.append(assign_residue(p * m, p))
         assert result.family == Family(tuple(expected), x)
 
+    @pytest.mark.parametrize("squarefree, members", [(False, 960), (True, 256)])
+    def test_past_int64_takes_the_same_steps(self, squarefree, members):
+        # x past int64 runs the walk on object columns of Python ints
+        params = ConstructionParams(x=10**20, c=0.25, squarefree_only=squarefree)
+        p = choose_prime(params)
+        q, a = construction._walk(params, p)
+        assert p == 23 and q.dtype == a.dtype == object
+        assert q.size == _member_count(params.x, p, squarefree, construction.MODULI_LIMIT) == members
+        family = build_construction(params).family
+        assert sorted(zip(q.tolist(), a.tolist())) == list(zip(family.moduli(), family.a.tolist()))
+        assert family.items == tuple(assign_residue(q, p) for q in family.moduli())
+        assert verify_family(family).ok
+
     def test_residues_come_from_the_walk(self, monkeypatch):
         # no per-member CRT chain: the oracle's pieces are never called
         def refuse(*args):

@@ -553,3 +553,17 @@ class TestSerialization:
             loads_family(
                 '{"x": 8, "count": 2}\n{"q": 4, "a": 0}\n{"q": 4, "a": 1}\n'
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_duplicate_modulus_named_by_value(self, seed):
+        # the sort need not keep equal moduli in file order: the error names
+        # the repeated modulus alone, the same whichever copy comes first
+        rng = random.Random(seed)
+        rows = [(pr.modulus, pr.residue) for pr in truncated_construction(2000).items]
+        q, a = rows[rng.randrange(len(rows))]
+        rows.append((q, (a + 1) % q))
+        rng.shuffle(rows)
+        lines = ['{"q": %d, "a": %d}\n' % row for row in rows]
+        text = '{"x": %d, "count": %d}\n' % (max(rows)[0], len(rows)) + "".join(lines)
+        with pytest.raises(StructuralError, match=f"^moduli must strictly increase, {q} after {q}$"):
+            loads_family(text)
