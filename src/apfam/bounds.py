@@ -113,25 +113,21 @@ def _choose_and_reduce(family: Family) -> tuple[int, Family]:
 
 def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
     # the members kept stay in modulus order, and dividing by alpha keeps it
-    selected = np.flatnonzero(parts == alpha).tolist()
+    selected = np.flatnonzero(parts == alpha)
     reduced_bound = max(2, family.x_bound // alpha)
-    if not selected:
+    if not selected.size:
         return Family.from_columns((), (), reduced_bound)
-    q, a = family.q.tolist(), family.a.tolist()
-    classes: dict[int, list[int]] = {}  # residue class mod alpha -> indices
-    for i in selected:
-        classes.setdefault(a[i] % alpha, []).append(i)
-    best = min(classes, key=lambda b: (-len(classes[b]), b))
-    moduli, residues = [], []
-    for i in classes[best]:
-        reduced = q[i] // alpha
-        if reduced < 2:
-            raise DomainError(
-                f"member {a[i]} mod {q[i]} equals its squarefull part; nothing remains to reduce"
-            )
-        moduli.append(reduced)
-        residues.append(a[i] % reduced)
-    return Family.from_columns(moduli, residues, reduced_bound)
+    residues = family.a[selected] % alpha
+    # unique sorts the classes ascending: argmax takes the smallest tied
+    classes, sizes = np.unique(residues, return_counts=True)
+    kept = selected[residues == classes[np.argmax(sizes)]]
+    q, a = family.q[kept], family.a[kept]
+    moduli = q // alpha
+    if moduli.size and moduli[0] < 2:  # only q == alpha reduces below 2, and q ascends
+        raise DomainError(
+            f"member {a[0]} mod {q[0]} equals its squarefull part; nothing remains to reduce"
+        )
+    return Family.from_columns(moduli, a % moduli, reduced_bound)
 
 
 def alpha_exceeding_fraction(family: Family, c: float = 1 / 3) -> Fraction:

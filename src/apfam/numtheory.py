@@ -25,7 +25,7 @@ FACTOR_LIMIT = 10**12
 # 5-6 times longer per decade of x; omega_tail_count shares the limit.  A
 # count capped below it needs no such limit: it stops once it passes the cap
 PSI_LIMIT = 10**11
-# entries in one remainder matrix of factor_table: members times primes
+# entries in one product matrix of factor_table: members times primes
 _TABLE_BLOCK = 1 << 13
 
 
@@ -124,15 +124,33 @@ class FactorTable(NamedTuple):
     cofactor: np.ndarray
 
 
+def _inverses(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv = p**-1 mod 2**64 and lim = (2**64 - 1) // p for each odd prime
+    p, as uint64 arrays.  For 0 <= n < 2**64, p divides n exactly when
+    n * inv mod 2**64 <= lim, and that product is then n // p (Granlund and
+    Montgomery, "Division by invariant integers using multiplication").
+    Wrapping products are taken between arrays only: a uint64 scalar
+    product that wraps warns."""
+    p = primes.astype(np.uint64)
+    # p * p == 1 mod 8, so inv = p holds 3 correct low bits, and each Newton
+    # step x <- x * (2 - p * x) doubles them: 6, 12, 24, 48, 96
+    inv = p.copy()
+    for _ in range(5):
+        inv *= 2 - p * inv
+    return inv, np.iinfo(np.uint64).max // p
+
+
 def factor_table(moduli: Sequence[int]) -> FactorTable:
     """Factor every modulus at once by trial division on int64 arrays.
 
-    Walks the primes up to isqrt(max(moduli)) once, in blocks sized so that
-    each remainder matrix holds about _TABLE_BLOCK entries, and drops a
-    member once its cofactor is below p*p for the next prime p, which is
-    factorize's own stopping rule.  Every member's factorization equals
-    factorize's, and the first modulus in order that factorize rejects
-    raises the same error here.
+    Takes the factor 2 from each modulus's lowest set bit, then walks the
+    odd primes up to isqrt(max(moduli)) once, in blocks sized so that each
+    product matrix holds about _TABLE_BLOCK entries, testing divisibility
+    and dividing by multiplying with inverses mod 2**64 (_inverses).  It
+    drops a member once its cofactor is below p*p for the next prime p,
+    which is factorize's own stopping rule.  Every member's factorization
+    equals factorize's, and the first modulus in order that factorize
+    rejects raises the same error here.
     """
     try:
         rest = np.array(moduli, dtype=np.int64)
@@ -142,40 +160,57 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
         factorize(int(next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT)))
     top = math.isqrt(int(rest.max())) if rest.size else 1
     sieved = _primes_for(top)
-    primes = np.array(sieved[: bisect_right(sieved, top)], dtype=np.int64)
-    indices, hit_primes = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    exponents = [np.zeros(0, np.int8)]
-    active = np.arange(rest.size)
+    primes = np.array(sieved[1 : bisect_right(sieved, top)], dtype=np.int64)
+    inv, lim = _inverses(primes)
+    # each hit is one key, member << 26 | prime << 6 | exponent: hit primes
+    # are below 2**20 and exponents below 2**6, so sorting the keys orders
+    # the hits member by member, each member's by prime.  tags holds each
+    # prime's part of a key, with exponent 1
+    tags = primes << 6 | 1
+    # 2 from the lowest set bit, exact as a double, in every member of at
+    # least 2 * 2
+    twos = np.frexp(rest & -rest)[1].astype(np.int64) - 1
+    twos[rest < 4] = 0
+    rest >>= twos
+    even = np.flatnonzero(twos)
+    keys = [even << 26 | 2 << 6 | twos[even]]
+    active, values = np.arange(rest.size), rest.copy()  # values: the active cofactors
     start = 0
     while start < primes.size:
-        active = active[rest[active] >= primes[start] ** 2]
+        keep = values >= primes[start] ** 2
+        active, values = active[keep], values[keep]
         if not active.size:
             break
-        block = primes[start : start + max(1, _TABLE_BLOCK // active.size)]
-        start += block.size
-        values = rest[active]
-        row, col = np.nonzero(values[:, None] % block == 0)
-        if not row.size:
+        stop = min(primes.size, start + max(1, _TABLE_BLOCK // active.size))
+        quotient = values.view(np.uint64)[:, None] * inv[start:stop]
+        hits = np.flatnonzero(quotient <= lim[start:stop])
+        row, col = np.divmod(hits, stop - start)
+        col += start
+        start = stop
+        if not hits.size:
             continue
-        prime = block[col]
-        left = values[row] // prime
-        exponent = np.ones_like(prime)
-        more = left % prime == 0
-        while more.any():
-            left = np.where(more, left // prime, left)
-            exponent += more
-            more = left % prime == 0
+        left = quotient.ravel()[hits]
+        prime, prime_inv, prime_lim, key = primes[col], inv[col], lim[col], tags[col]
+        power = prime
+        while True:
+            nxt = left * prime_inv
+            more = nxt <= prime_lim
+            if not more.any():
+                break
+            left = np.where(more, nxt, left)
+            power = np.where(more, power * prime, power)
+            key += more
+        member = active[row]
         # a member can hit several primes of one block: divide them out in turn
-        np.floor_divide.at(rest, active[row], prime**exponent)
-        indices.append(active[row].astype(np.int32))
-        hit_primes.append(prime.astype(np.int32))
-        exponents.append(exponent.astype(np.int8))
-    index = np.concatenate(indices)
-    # blocks ascend by prime, so a stable sort by member keeps each member's
-    # hits ascending
-    order = np.argsort(index, kind="stable")
+        np.floor_divide.at(values, row, power)
+        rest[member] = values[row]
+        keys.append(member << 26 | key)
+    keys = np.sort(np.concatenate(keys))
     return FactorTable(
-        index[order], np.concatenate(hit_primes)[order], np.concatenate(exponents)[order], rest
+        (keys >> 26).astype(np.int32),
+        (keys >> 6 & (1 << 20) - 1).astype(np.int32),
+        (keys & (1 << 6) - 1).astype(np.int8),
+        rest,
     )
 
 
@@ -260,12 +295,30 @@ def _count_below(
     return total + max(0, pi(x) - len(primes))
 
 
+def _product_count(y: float, top: float) -> int:
+    # the number of n, of any size, whose primes are <= y and whose prime
+    # powers past the first are <= top: the product over primes p <= y of
+    # 1 + max(1, floor(log_p top)) exponents; once it passes PSI_LIMIT, some
+    # value above it, so at most 37 primes are taken, all below 1024
+    product = 1
+    for p in _prime_tuple(1024):
+        if p > y or product > PSI_LIMIT:
+            break
+        exponents = 1
+        while p ** (exponents + 1) <= top:
+            exponents += 1
+        product *= 1 + exponents
+    return product
+
+
 def _smooth_count(x: int, y: float, top: float, limit: float = math.inf) -> int:
     # n <= x whose primes are <= y and whose prime powers past the first are
     # <= top, or past limit some value above it
     if x < 1:
         raise DomainError(f"count needs x >= 1, got {x}")
-    limit = min(x, limit)  # no count of n <= x passes x
+    # no count of n <= x passes x, nor, when top < x, the number of such n
+    # of any size, and the count's work follows the count
+    limit = min(x, limit, _product_count(y, top) if top < x else x)
     if limit > PSI_LIMIT:
         raise CapacityError(f"smooth count at x={x} exceeds {PSI_LIMIT}")
     if not y >= 2:

@@ -20,10 +20,10 @@ can replay the run independently.
 import bisect
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,78 +113,117 @@ def _squarefree_table(moduli: list[int]) -> FactorTable:
     return table
 
 
-def _prime_map(moduli: np.ndarray, params: RefinementParams) -> tuple[np.ndarray, list[list[int]]]:
-    # which moduli _eligible keeps, and the ascending primes of each one
-    # kept, in order, from one factor table.  A modulus is squarefree, so
-    # p divides it exactly when p is in its list.
+class _PrimeMap(NamedTuple):
+    """The primes of the base members as two aligned arrays: hit k says that
+    primes[pid[k]] divides the base member at position member[k].  primes
+    ascends, and each member's hits appear in the order of its primes, so
+    its ids ascend too.  size is the number of base members."""
+
+    member: np.ndarray
+    pid: np.ndarray
+    primes: np.ndarray
+    size: int
+
+
+def _prime_map(moduli: np.ndarray, params: RefinementParams) -> tuple[np.ndarray, _PrimeMap]:
+    # which moduli _eligible keeps, and the primes of those kept, from one
+    # factor table.  A modulus is squarefree, so p divides it exactly when
+    # p is among its primes.
     table = _squarefree_table(moduli)
     omega = np.bincount(table.index, minlength=len(moduli)) + (table.cofactor > 1)
     large = table.cofactor > params.prime_floor
     large[table.index[table.prime > params.prime_floor]] = True
     keep = (omega < params.omega_cap) & large
+    position = np.cumsum(keep) - 1
     hit = keep[table.index]
-    primes = table.prime[hit].tolist()
-    counts = np.bincount(table.index[hit], minlength=keep.size)[keep].tolist()
-    cofactors = table.cofactor[keep].tolist()
-    lists, start = [], 0
-    for count, cofactor in zip(counts, cofactors):
-        # built at their final length: a list grown by append over-allocates
-        below = primes[start : start + count]
-        lists.append(below + [cofactor] if cofactor > 1 else below)
-        start += count
-    return keep, lists
+    big = np.flatnonzero(keep & (table.cofactor > 1))
+    # a member's table hits ascend, and its cofactor, above them, comes
+    # after every hit
+    member = np.concatenate((position[table.index[hit]], position[big]))
+    primes, pid = np.unique(np.concatenate((table.prime[hit], table.cofactor[big])), return_inverse=True)
+    return keep, _PrimeMap(member, pid.ravel(), primes, int(np.count_nonzero(keep)))
 
 
-def _eligible(family: Family, params: RefinementParams) -> tuple[Family, list[list[int]]]:
+def _eligible(family: Family, params: RefinementParams) -> tuple[Family, _PrimeMap]:
     # the base set: the members with omega below omega_cap and a prime factor
-    # above prime_floor, both strictly, and the primes of each one kept, in
-    # order.  Requires every modulus squarefree.
+    # above prime_floor, both strictly, and their primes.  Requires every
+    # modulus squarefree.
     keep, primes = _prime_map(family.q, params)
     kept = Family.from_columns(family.q[keep], family.a[keep], family.x_bound)
     return kept, primes
 
 
-# The chain and its checker hold members as positions into the base
-# family's columns, ascending, so position order is modulus order, and
-# primes[i] lists the primes of the member at position i.
+# The step rules, shared by the chain and its checker.  Both hold members as
+# ascending positions into the base family's columns, so position order is
+# modulus order, and primes as ids into the prime map's primes; used is a
+# mask over those ids.
 
 
-def _candidates(primes: list[int], used) -> tuple[int, ...]:
+def _dividing(pm: _PrimeMap, ids) -> np.ndarray:
+    # a mask over the base members: those divisible by some prime of ids
+    marked = np.zeros(pm.primes.size, dtype=bool)
+    marked[ids] = True
+    mask = np.zeros(pm.size, dtype=bool)
+    mask[pm.member[marked[pm.pid]]] = True
+    return mask
+
+
+def _candidates(chosen: int, used: np.ndarray, pm: _PrimeMap) -> np.ndarray:
     # the primes of the chosen member that no earlier step fixed
-    return tuple(p for p in primes if p not in used)
+    ids = pm.pid[pm.member == chosen]
+    return ids[~used[ids]]
 
 
-def _first_uncovered(members, chosen: int, candidates, primes: list[list[int]]) -> int | None:
+def _first_uncovered(members: np.ndarray, chosen: int, candidates: np.ndarray, pm: _PrimeMap) -> int | None:
     # the first member besides the chosen one divisible by no candidate prime
-    candidates = set(candidates)
-    return next((i for i in members if i != chosen and candidates.isdisjoint(primes[i])), None)
+    left = members[~_dividing(pm, candidates)[members] & (members != chosen)]
+    return int(left[0]) if left.size else None
 
 
-def _prime_counts(members, primes: list[list[int]]) -> Counter:
-    # how many members each prime divides
-    return Counter(chain.from_iterable(primes[i] for i in members))
+def _prime_counts(members: np.ndarray, pm: _PrimeMap) -> np.ndarray:
+    # how many members each prime divides, by id
+    live = np.zeros(pm.size, dtype=bool)
+    live[members] = True
+    return np.bincount(pm.pid[live[pm.member]], minlength=pm.primes.size)
 
 
-def _divisible(members, p: int, primes: list[list[int]]) -> list[int]:
-    return [i for i in members if p in primes[i]]
+def _divisible(members: np.ndarray, prime: int, pm: _PrimeMap) -> np.ndarray:
+    # the members divisible by the prime of that id, in order
+    return members[_dividing(pm, prime)[members]]
 
 
-def _in_class(members, p: int, b: int, residues, primes: list[list[int]]) -> list[int]:
-    # the members divisible by p and congruent to b mod p, in order
-    return [i for i in _divisible(members, p, primes) if residues[i] % p == b]
+def _in_class(members: np.ndarray, prime: int, b: int, residues: np.ndarray, pm: _PrimeMap) -> np.ndarray:
+    # the members divisible by the prime of that id and congruent to b mod
+    # it, in order; b is any int, so it is range-checked before numpy sees it
+    divisible = _divisible(members, prime, pm)
+    p = int(pm.primes[prime])
+    if not 0 <= b < p:
+        return divisible[:0]
+    return divisible[residues[divisible] % p == b]
 
 
 def _stop_witness(
-    members, counts: Counter, used: tuple[int, ...], params: RefinementParams
+    members: np.ndarray, counts: np.ndarray, used: np.ndarray, pm: _PrimeMap, params: RefinementParams
 ) -> tuple[int, int] | None:
     # the stopping rule: an unused prime of at least prime_floor dividing
     # at least |members| / ratio_denominator of the members, by counts,
-    # how many members each prime divides
-    eligible = [p for p in counts if p >= params.prime_floor and p not in used]
-    prime = min(eligible, key=lambda p: (-counts[p], p), default=None)
-    if prime is not None and counts[prime] * params.ratio_denominator >= len(members):
-        return prime, counts[prime]
+    # how many members each prime divides; argmax takes the first, smallest,
+    # of the primes tied
+    eligible = np.where((pm.primes >= params.prime_floor) & ~used, counts, 0)
+    best = int(np.argmax(eligible))
+    count = int(eligible[best])
+    if count and count * params.ratio_denominator >= members.size:
+        return int(pm.primes[best]), count
     return None
+
+
+def _prime_id(p: int | None, pm: _PrimeMap) -> int | None:
+    # the id of p among the prime map's primes, or None; p is any int or
+    # None, so it is range-checked before numpy sees it
+    if p is None or not 2 <= p <= int(pm.primes[-1]):
+        return None
+    i = int(np.searchsorted(pm.primes, p))
+    return i if pm.primes[i] == p else None
 
 
 def build_chain(family: Family, params: RefinementParams) -> RefinementCertificate:
@@ -196,57 +235,61 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     (the defaults are equal); with a smaller ratio the chain can strand
     itself on one member with no unused prime, which raises DomainError.
     """
-    base, primes = _eligible(family, params)
-    q, a = base.q.tolist(), base.a.tolist()
+    base, pm = _eligible(family, params)
+    q, a = base.q, base.a
     # the certificate's own Progressions, not the family's items view
-    base_items = tuple(map(Progression, a, q))
-    if not q:
+    base_items = tuple(map(Progression, a.tolist(), q.tolist()))
+    if not base_items:
         return RefinementCertificate(
             params=params, base=(), steps=(), t=0, witness_prime=None, divisible_count=0
         )
-    members = range(len(q))
+    omega = np.bincount(pm.member, minlength=pm.size)
+    members = np.arange(pm.size)
+    used = np.zeros(pm.primes.size, dtype=bool)
     steps: list[RefinementStep] = []
-    used: tuple[int, ...] = ()
+    product = 1
     combined = 0
     while True:
-        counts = _prime_counts(members, primes)
-        hit = _stop_witness(members, counts, used, params)
+        counts = _prime_counts(members, pm)
+        hit = _stop_witness(members, counts, used, pm, params)
         if hit is not None:
             # hit is the witness prime and its divisible count
             return RefinementCertificate(params, base_items, tuple(steps), len(steps), *hit)
-        if len(members) < 2:
+        if members.size < 2:
             raise DomainError(
                 "refinement stalled on one member with no qualifying prime; "
                 "requires ratio_denominator >= omega_cap to be guaranteed"
             )
         # every member is pinned to combined mod the used primes, each of
         # which divides it, so the fewest primes leave the fewest candidates;
-        # min takes the first, smallest modulus, of the members tied
-        chosen = min(members, key=lambda i: len(primes[i]))
-        candidates = _candidates(primes[chosen], used)
-        other = _first_uncovered(members, chosen, candidates, primes)
+        # argmin takes the first, smallest modulus, of the members tied
+        chosen = int(members[np.argmin(omega[members])])
+        candidates = _candidates(chosen, used, pm)
+        other = _first_uncovered(members, chosen, candidates, pm)
         if other is not None:
             # both members agree modulo every prime of the gcd, hence intersect
-            merged = crt_pair(a[chosen], q[chosen], a[other], q[other])
+            merged = crt_pair(int(a[chosen]), int(q[chosen]), int(a[other]), int(q[other]))
             raise NotDisjointError(base_items[chosen], base_items[other], merged[0])
 
-        prime = min(candidates, key=lambda e: (-counts[e], e))
-        classes: dict[int, list[int]] = {}  # residue mod prime -> members, in order
-        for i in _divisible(members, prime, primes):
-            classes.setdefault(a[i] % prime, []).append(i)
-        residue_class = min(classes, key=lambda b: (-len(classes[b]), b))
-        members = classes[residue_class]
-        combined = crt_pair(combined, math.prod(used), residue_class, prime)[0]
-        used += (prime,)
+        # candidates ascend, so argmax takes the smallest of the primes tied
+        prime = int(candidates[np.argmax(counts[candidates])])
+        p = int(pm.primes[prime])
+        # unique sorts the classes ascending: argmax takes the smallest tied
+        classes, sizes = np.unique(a[_divisible(members, prime, pm)] % p, return_counts=True)
+        residue_class = int(classes[np.argmax(sizes)])
+        members = _in_class(members, prime, residue_class, a, pm)
+        combined = crt_pair(combined, product, residue_class, p)[0]
+        product *= p
+        used[prime] = True
         steps.append(
             RefinementStep(
-                index=len(used),
-                chosen_modulus=q[chosen],
-                candidate_primes=candidates,
-                prime=prime,
+                index=len(steps) + 1,
+                chosen_modulus=int(q[chosen]),
+                candidate_primes=tuple(pm.primes[candidates].tolist()),
+                prime=p,
                 residue_class=residue_class,
                 combined_residue=combined,
-                survivors=tuple([q[i] for i in members]),
+                survivors=tuple(q[members].tolist()),
             )
         )
 
@@ -264,7 +307,7 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     params = cert.params
     ratio = params.ratio_denominator
     try:
-        expected_base, primes = _eligible(family, params)
+        expected_base, pm = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
     q, a = expected_base.q.tolist(), expected_base.a.tolist()
@@ -280,22 +323,25 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     # each step's survivors are members of the previous set in one class
     # mod a new prime, so checking combined_residue against the previous
     # residue and the class pins every survivor modulo the new product
-    current = range(len(q))
-    used: list[int] = []
+    current = np.arange(pm.size)
+    used = np.zeros(pm.primes.size, dtype=bool)
     product = 1
     combined = 0
     strict = True
     for k, step in enumerate(cert.steps, start=1):
-        if step.index != k or step.chosen_modulus not in {q[i] for i in current}:
-            return CertificateCheck(False, "structure")
         chosen = bisect.bisect_left(q, step.chosen_modulus)
-        candidates = _candidates(primes[chosen], used)
-        if step.candidate_primes != candidates or step.prime not in candidates:
+        found = chosen < len(q) and q[chosen] == step.chosen_modulus
+        if step.index != k or not found or chosen not in current:
+            return CertificateCheck(False, "structure")
+        candidates = _candidates(chosen, used, pm)
+        candidate_primes = tuple(pm.primes[candidates].tolist())
+        if step.candidate_primes != candidate_primes or step.prime not in candidate_primes:
             return CertificateCheck(False, "candidates")
-        if _first_uncovered(current, chosen, candidates, primes) is not None:
+        if _first_uncovered(current, chosen, candidates, pm) is not None:
             return CertificateCheck(False, "covering")
-        survivors = _in_class(current, step.prime, step.residue_class, a, primes)
-        if step.survivors != tuple([q[i] for i in survivors]):
+        prime = int(candidates[candidate_primes.index(step.prime)])
+        survivors = _in_class(current, prime, step.residue_class, expected_base.a, pm)
+        if step.survivors != tuple(expected_base.q[survivors].tolist()):
             return CertificateCheck(False, "survivors")
         new_product = product * step.prime
         if (
@@ -305,20 +351,22 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         ):
             return CertificateCheck(False, "Property 2")
         kept = len(step.survivors) * step.prime * ratio
-        if kept < len(current):
+        if kept < current.size:
             return CertificateCheck(False, "Property 3")
-        if kept == len(current):
+        if kept == current.size:
             strict = False
         current = survivors
-        used.append(step.prime)
+        used[prime] = True
         product = new_product
         combined = step.combined_residue
 
-    # a missing witness divides no survivor, so the first test rejects it
-    count = len(_divisible(current, cert.witness_prime, primes))
-    if count != cert.divisible_count or count * ratio < len(current):
+    # a witness that is no prime of the base divides no survivor, so the
+    # first test rejects it, as it does a missing one
+    witness = _prime_id(cert.witness_prime, pm)
+    count = 0 if witness is None else _divisible(current, witness, pm).size
+    if count != cert.divisible_count or count * ratio < current.size:
         return CertificateCheck(False, "Property 4", strict)
-    if cert.witness_prime in used or cert.witness_prime < params.prime_floor:
+    if used[witness] or cert.witness_prime < params.prime_floor:
         return CertificateCheck(False, "Property 4", strict)
     # exact: a finite ratio raised to the power t + 1 can pass float range
     if count * product * Fraction(ratio) ** (len(cert.steps) + 1) < len(cert.base):

@@ -521,6 +521,16 @@ class TestRefineAndCheck:
         assert last_json(out)["counterexample"]["common"] == 1
 
 
+# the refusals at x = 10**20 and the default c; f-lower counts at x // p,
+# but names the x given
+PAST_THE_LIMIT = {
+    "psi": "smooth count at x=100000000000000000000 exceeds 100000000000",
+    "psistar": "smooth count at x=100000000000000000000 exceeds 100000000000",
+    "omega-tail": "omega tail count at x=100000000000000000000 exceeds 100000000000",
+    "f-lower": "f-lower count at x=100000000000000000000: smooth count at x=170779317258445 exceeds 100000000000",
+}
+
+
 class TestCounts:
     def test_psi_stdout(self, capsys):
         code, out = run(capsys, "counts", "--kind", "psi", "--x", "1000")
@@ -581,9 +591,17 @@ class TestCounts:
         code = main(["counts", "--kind", kind, "--x", str(10**20)])
         assert time.perf_counter() - started < 1
         err = capsys.readouterr().err
-        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error:")
-        # f-lower counts at x // p, but names the x given
-        assert str(10**20) in err
+        assert code == 2 and err == f"error: {PAST_THE_LIMIT[kind]}\n"
+
+    def test_small_f_lower_count_past_the_limit_prints(self, capsys):
+        # at c = 0.25 the anchor is 23, and the 22-powersmooth m are the
+        # 960 divisors of lcm(1..22): the count is small though x // 23
+        # passes the limit, and construct builds the same 960 members
+        started = time.perf_counter()
+        code, out = run(capsys, "counts", "--kind", "f-lower", "--x", str(10**20), "--c", "0.25")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:4] == ["f_lower", str(10**20), "0.25", "960"]
 
     # 1e308 overflows the exponent of L(c, x) itself, which exp turns into inf
     @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e308"])

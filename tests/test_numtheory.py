@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from apfam.numtheory import (
     FACTOR_LIMIT,
     Factorization,
     PSI_LIMIT,
+    _inverses,
     _prime_counter,
     crt_pair,
     factor_table,
@@ -19,7 +21,9 @@ from apfam.numtheory import (
     psi_star,
     sieve_primes,
 )
+from apfam.construction import ConstructionParams, build_construction
 from oracles import enumerate_smooth
+from test_refinement import stepped
 
 
 class TestSievePrimes:
@@ -204,6 +208,58 @@ class TestFactorTable:
                 factorize(bad)
             with pytest.raises(error, match=str(expected.value)):
                 factor_table(moduli)
+
+
+ODD_PRIMES = sieve_primes(10**6)[1:]
+
+
+@st.composite
+def prime_and_n(draw):
+    # an odd prime p <= 10**6 and n in [1, FACTOR_LIMIT], a multiple of p
+    # (of p**2, p**3, ...) half the time
+    p = draw(st.sampled_from(ODD_PRIMES))
+    if draw(st.booleans()):
+        return p, draw(st.integers(1, FACTOR_LIMIT))
+    power = p ** draw(st.integers(1, 3))
+    if power > FACTOR_LIMIT:
+        power = p
+    return p, power * draw(st.integers(1, FACTOR_LIMIT // power))
+
+
+class TestInverses:
+    @settings(max_examples=100)
+    @given(st.lists(prime_and_n(), min_size=1, max_size=50))
+    def test_divisibility_and_quotient_by_one_product(self, pairs):
+        primes, ns = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        inv, lim = _inverses(primes)
+        for p, i, m in zip(primes.tolist(), inv.tolist(), lim.tolist()):
+            assert i * p % 2**64 == 1 and m == (2**64 - 1) // p
+        # the product wraps mod 2**64 as factor_table takes it, array by array
+        product = ns.view(np.uint64) * inv
+        for p, n, v, m in zip(primes.tolist(), ns.tolist(), product.tolist(), lim.tolist()):
+            assert (v <= m) == (n % p == 0)
+            if n % p == 0:
+                assert v == n // p
+
+    def test_every_odd_prime_below_the_table_limit(self):
+        primes = np.array(ODD_PRIMES, dtype=np.int64)
+        inv, lim = _inverses(primes)
+        assert all(i * p % 2**64 == 1 for p, i in zip(ODD_PRIMES, inv.tolist()))
+        assert lim.tolist() == [(2**64 - 1) // p for p in ODD_PRIMES]
+
+
+class TestFactorTableOnFamilies:
+    @pytest.mark.parametrize(
+        "moduli",
+        [
+            lambda: build_construction(ConstructionParams(x=10**6)).family.q,
+            lambda: stepped(3 * 10**6).q,
+        ],
+        ids=["construction-1e6", "stepped-3e6"],
+    )
+    def test_matches_factorize(self, moduli):
+        moduli = moduli().tolist()
+        assert table_parts(moduli) == oracle_parts(moduli)
 
 
 class TestCrtPair:

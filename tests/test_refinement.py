@@ -7,8 +7,10 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from apfam.cli import main
@@ -63,6 +65,14 @@ def eligible_per_member(family, params):
         if len(primes) < params.omega_cap and primes[-1] > params.prime_floor:
             primes_of[pr.modulus] = primes
     return primes_of
+
+
+def prime_lists(pm):
+    # _eligible's prime map as one list per base member, in the map's order
+    lists = [[] for _ in range(pm.size)]
+    for i, p in zip(pm.member.tolist(), pm.primes[pm.pid].tolist()):
+        lists[i].append(p)
+    return lists
 
 
 def prime_factors(q):
@@ -139,6 +149,64 @@ def reference_chain(family, params):
         "witness_prime": witness,
         "divisible_count": count,
     }
+
+
+def reference_check(cert, family):
+    # the README's check-cert properties, member by member with divisibility
+    # tested by %, failing on the first in the README's order; a witness
+    # counts only when it is a prime, so a composite divides no survivor
+    params, ratio = cert.params, cert.params.ratio_denominator
+    try:
+        eligible = eligible_per_member(family, params)
+    except DomainError:
+        return CertificateCheck(False, "base")
+    base = [pr for pr in family.items if pr.modulus in eligible]
+    if list(cert.base) != base:
+        return CertificateCheck(False, "base")
+    if cert.t != len(cert.steps):
+        return CertificateCheck(False, "structure")
+    if not base:
+        if cert.steps or cert.witness_prime is not None or cert.divisible_count:
+            return CertificateCheck(False, "structure")
+        return CertificateCheck(True)
+    current, used, product, combined, strict = base, [], 1, 0, True
+    for k, step in enumerate(cert.steps, start=1):
+        chosen = [pr for pr in current if pr.modulus == step.chosen_modulus]
+        if step.index != k or not chosen:
+            return CertificateCheck(False, "structure")
+        candidates = tuple(p for p in eligible[step.chosen_modulus] if p not in used)
+        if step.candidate_primes != candidates or step.prime not in candidates:
+            return CertificateCheck(False, "candidates")
+        if any(pr != chosen[0] and all(pr.modulus % p for p in candidates) for pr in current):
+            return CertificateCheck(False, "covering")
+        survivors = [
+            pr for pr in current
+            if pr.modulus % step.prime == 0 and pr.residue % step.prime == step.residue_class
+        ]
+        if list(step.survivors) != [pr.modulus for pr in survivors]:
+            return CertificateCheck(False, "survivors")
+        if (
+            step.combined_residue % product != combined
+            or step.combined_residue % step.prime != step.residue_class
+            or not 0 <= step.combined_residue < product * step.prime
+        ):
+            return CertificateCheck(False, "Property 2")
+        kept = len(step.survivors) * step.prime * ratio
+        if kept < len(current):
+            return CertificateCheck(False, "Property 3")
+        strict = strict and kept != len(current)
+        current, product, combined = survivors, product * step.prime, step.combined_residue
+        used.append(step.prime)
+    witness = cert.witness_prime
+    prime = witness is not None and sympy.isprime(witness)
+    count = sum(pr.modulus % witness == 0 for pr in current) if prime else 0
+    if count != cert.divisible_count or count * ratio < len(current):
+        return CertificateCheck(False, "Property 4", strict)
+    if witness in used or witness < params.prime_floor:
+        return CertificateCheck(False, "Property 4", strict)
+    if count * product * Fraction(ratio) ** (len(cert.steps) + 1) < len(base):
+        return CertificateCheck(False, "size bound", strict)
+    return CertificateCheck(True, None, strict)
 
 
 def stepped(x):
@@ -248,9 +316,9 @@ class TestEligibleAgainstPerMember:
             with pytest.raises(DomainError, match=str(err)):
                 _eligible(f, params)
             return
-        kept, primes = _eligible(f, params)
+        kept, pm = _eligible(f, params)
         assert kept.moduli() == list(expected)
-        assert primes == list(expected.values())
+        assert prime_lists(pm) == list(expected.values())
 
     def test_not_squarefree_before_oversized_fails_the_base(self):
         # member order decides: the modulus 12 fails before 10**12 + 1 is reached
@@ -339,6 +407,7 @@ class TestChainAgainstReference:
             return
         cert = build_chain(family, params)
         assert certificate_to_dict(cert) == expected
+        assert check_certificate(cert, family) == reference_check(cert, family)
         assert check_certificate(cert, family).ok
 
 
@@ -643,7 +712,7 @@ class TestCheckCertExitCodes:
     @example(("six", ("params", "ratio_denominator"), 1e300))
     def test_one_field_edit(self, family_files, edit):
         # any one-field edit exits 0, 1 with a documented reason, or 2, and
-        # never with a traceback
+        # never with a traceback; the checker agrees with reference_check
         name, path, value = edit
         data = copy.deepcopy(genuine(name)[1])
         target = data
@@ -659,5 +728,13 @@ class TestCheckCertExitCodes:
             code = main(["check-cert", "--cert", str(cert_file), "--in", str(family_files[name])])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        if code == 1:
-            assert json.loads(out.getvalue())["reason"] in CHECK_REASONS
+        try:
+            cert = certificate_from_dict(data)
+        except DomainError:
+            assert code == 2
+            return
+        expected = reference_check(cert, genuine(name)[0])
+        assert check_certificate(cert, genuine(name)[0]) == expected
+        assert code == (0 if expected.ok else 1)
+        assert json.loads(out.getvalue()) == dataclasses.asdict(expected)
+        assert expected.reason in CHECK_REASONS | {None}
