@@ -20,9 +20,7 @@ import numpy as np
 from .construction import ConstructionParams, _member_count, choose_prime
 from .errors import CapacityError, DomainError
 from .family import Family
-from .numtheory import (
-    factor_table, l_scale, omega_tail_count, omega_threshold, psi, psi_star, sieve_primes
-)
+from .numtheory import l_scale, omega_tail_count, omega_threshold, psi, psi_star, sieve_primes
 
 MAJORANT_CUTOFF = 1e-30
 
@@ -68,8 +66,8 @@ def omega_tail_majorant(x: int, c: float) -> float:
 
 def _squarefull_parts(family: Family) -> np.ndarray:
     # the squarefull part of every modulus q, the product of the p**e exactly
-    # dividing q with e >= 2, from one factor table
-    table = factor_table(family.q)
+    # dividing q with e >= 2, from the family's factor table
+    table = family.factors
     alpha = np.ones(family.size, dtype=np.int64)
     square = table.exponent > 1
     powers = table.prime[square].astype(np.int64) ** table.exponent[square]
@@ -77,17 +75,13 @@ def _squarefull_parts(family: Family) -> np.ndarray:
     return alpha
 
 
-def _most_common(parts: np.ndarray) -> int:
-    if parts.size == 0:
-        return 1
-    # unique sorts ascending and argmax takes the first maximum
-    values, counts = np.unique(parts, return_counts=True)
-    return int(values[np.argmax(counts)])
-
-
 def choose_alpha(family: Family) -> int:
     """The squarefull part shared by the most members; ties pick the smallest."""
-    return _most_common(_squarefull_parts(family))
+    if not family.size:
+        return 1
+    # unique sorts ascending and argmax takes the first maximum
+    values, counts = np.unique(_squarefull_parts(family), return_counts=True)
+    return int(values[np.argmax(counts)])
 
 
 def squarefull_reduce(family: Family, alpha: int) -> Family:
@@ -100,20 +94,8 @@ def squarefull_reduce(family: Family, alpha: int) -> Family:
     """
     if alpha < 1:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    return _reduce_by_parts(family, alpha, _squarefull_parts(family))
-
-
-def _choose_and_reduce(family: Family) -> tuple[int, Family]:
-    """choose_alpha's alpha and squarefull_reduce's family, from one factor
-    table of the members."""
-    parts = _squarefull_parts(family)
-    alpha = _most_common(parts)
-    return alpha, _reduce_by_parts(family, alpha, parts)
-
-
-def _reduce_by_parts(family: Family, alpha: int, parts: np.ndarray) -> Family:
     # the members kept stay in modulus order, and dividing by alpha keeps it
-    selected = np.flatnonzero(parts == alpha)
+    selected = np.flatnonzero(_squarefull_parts(family) == alpha)
     reduced_bound = max(2, family.x_bound // alpha)
     if not selected.size:
         return Family.from_columns((), (), reduced_bound)

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import KINDS, _choose_and_reduce, bounds_report, rows_to_csv, squarefull_reduce
+from .bounds import KINDS, bounds_report, choose_alpha, rows_to_csv, squarefull_reduce
 from .construction import (
     ConstructionParams,
     build_construction,
@@ -191,11 +191,8 @@ def cmd_counts(args) -> int:
 def cmd_reduce(args) -> int:
     started = time.perf_counter()
     family = read_family(args.infile)
-    if args.alpha is None:
-        alpha, reduced = _choose_and_reduce(family)
-    else:
-        alpha = args.alpha
-        reduced = squarefull_reduce(family, alpha)
+    alpha = choose_alpha(family) if args.alpha is None else args.alpha
+    reduced = squarefull_reduce(family, alpha)
     write_family(reduced, args.out)
     _write_manifest(args.out, "reduce", {"alpha": alpha}, [args.infile], started)
     _emit({"alpha": alpha, "count": reduced.size, "out": args.out})

@@ -11,12 +11,24 @@ the family is pairwise disjoint by the gcd criterion.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .family import INT64_MAX, Family, Progression, _sorted_columns
-from .numtheory import _smooth_count, crt_pair, factorize, l_scale, sieve_primes
+from .family import INT64_MAX, Family, Progression, _Factors, _share_factors
+from .numtheory import (
+    FACTOR_LIMIT,
+    FactorTable,
+    _from_keys,
+    _hit_key,
+    _hit_tag,
+    _smooth_count,
+    crt_pair,
+    factorize,
+    l_scale,
+    sieve_primes,
+)
 
 DEFAULT_C = 1 / math.sqrt(2)
 MODULI_LIMIT = 2_000_000
@@ -43,9 +55,11 @@ def choose_prime(params: ConstructionParams) -> int:
     return sieve_primes(bound)[-1]
 
 
-def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, ...]:
     """Every member q = p*m <= x, unsorted, and its residue, as two columns:
-    int64 when x fits in int64, else object arrays of Python ints.
+    int64 when x fits in int64, else object arrays of Python ints; then the
+    tree the walk made them in, for _tree_table: each member's parent and
+    step, in walk order, and each step's key part, tags.
 
     m multiplies prime powers below p (primes only when squarefree_only).
     One pass takes the powers c in ascending value, and at each extends at
@@ -56,7 +70,8 @@ def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     an m with m*c <= x // p can grow at step c or later: the active set
     loses the others and gains only the m just made.  At a prime c no m
     made so far has c as a factor, since each is a product of smaller
-    powers.
+    powers.  The tree records, for each m, the m it extended (its parent)
+    and the index of the step that did, in narrow columns.
 
     Each m carries res, its residue mod m pinned to 0 at its smallest
     power and at each power to the next one down, and top, its largest
@@ -75,23 +90,26 @@ def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     size = _member_count(params.x, p, params.squarefree_only, MODULI_LIMIT)
     if size > MODULI_LIMIT:
         raise CapacityError(f"more than {MODULI_LIMIT} moduli at x={params.x}")
-    dtype = np.int64 if params.x <= INT64_MAX else object
-    m, res, top = (np.zeros(size, dtype) for _ in range(3))
-    if not size:
-        return m, res
     bound = params.x // p
-    table = []  # (prime power, its prime), each power at most bound
+    table = []  # (prime power, its prime, its exponent), each power at most bound
     for r in sieve_primes(p)[:-1]:  # the primes below the prime p
-        c = r
+        c, e = r, 1
         while c < p and c <= bound:
-            table.append((c, r))
+            table.append((c, r, e))
             if params.squarefree_only:
                 break
-            c *= r
+            c, e = c * r, e + 1
     table.sort()
+    dtype = np.int64 if params.x <= INT64_MAX else object
+    m, res, top = (np.zeros(size, dtype) for _ in range(3))
+    # the tree: m = 1, at position 0, is its own parent, and has no step
+    parent, step = np.zeros(size, np.int32), np.zeros(size, np.min_scalar_type(len(table)))
+    tags = np.array([_hit_tag(r, e) for _, r, e in table], np.int64)
+    if not size:
+        return m, res, parent, step, tags
     m[0] = filled = 1
     active = np.zeros(1, np.intp)  # the m that may still grow
-    for c, r in table:
+    for k, (c, r, _) in enumerate(table):
         values = m[active]
         keep = values <= bound // c
         active, values = active[keep], values[keep]
@@ -103,25 +121,44 @@ def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, np.ndarray]:
             parents, values = active[grow], values[grow]
         new = slice(filled, filled + parents.size)
         base = res[parents]
-        step = top[parents] - base
-        step *= _inverse(values, c, r)
-        step %= c
-        step *= values
-        step += base
-        res[new] = step
+        lift = top[parents] - base
+        lift *= _inverse(values, c, r)
+        lift %= c
+        lift *= values
+        lift += base
+        res[new] = lift
         values *= c
         m[new] = values
         top[new] = c
+        parent[new] = parents
+        step[new] = k
         active = np.concatenate((active, np.arange(new.start, new.stop)))
         filled = new.stop
-    m, res, top = m[:filled], res[:filled], top[:filled]
+    m, res, top, parent, step = (column[:filled] for column in (m, res, top, parent, step))
     top -= res
     top *= _inverse(m, p, p)
     top %= p
     top *= m
     top += res
     m *= p
-    return m, top
+    return m, top, parent, step, tags
+
+
+def _tree_table(parent: np.ndarray, step: np.ndarray, tags: np.ndarray, p: int) -> FactorTable:
+    """The construction's factor table, from the walk's tree in modulus
+    order: the member at position i > 0 is the one at parent[i] times the
+    prime power of step[i], whose key part (_hit_tag) is tags[step[i]];
+    position 0 is p itself.  Each member's hits are the steps from it up to
+    p, collected one depth level per pass, and its cofactor is p, above
+    every prime of the steps: one value, held as a read-only broadcast."""
+    keys = [np.zeros(0, np.int64)]  # none at all when p is alone
+    member = cur = np.arange(1, parent.size)
+    while member.size:
+        keys.append(_hit_key(member, tags[step[cur]]))
+        cur = parent[cur]
+        live = cur != 0
+        member, cur = member[live], cur[live]
+    return _from_keys(keys, np.broadcast_to(np.int64(p), parent.size))
 
 
 def _inverse(values: np.ndarray, c: int, r: int) -> np.ndarray:
@@ -200,9 +237,23 @@ class ConstructionResult:
 
 
 def build_construction(params: ConstructionParams) -> ConstructionResult:
-    """The full family at x: pairwise disjoint with distinct moduli <= x."""
+    """The full family at x: pairwise disjoint with distinct moduli <= x.
+
+    Where factor_table would take its moduli, the family's factor table is
+    supplied from the walk's tree, kept in modulus order until first use.
+    """
     p = choose_prime(params)
-    family = Family.from_columns(*_sorted_columns(*_walk(params, p)), params.x)
+    q, a, parent, step, tags = _walk(params, p)
+    order = np.argsort(q)
+    if params.x <= FACTOR_LIMIT:
+        # the tree in modulus order, where p, the root, stays first
+        rank = np.empty(order.size, np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        factors = _Factors(partial(_tree_table, rank[parent[order]], step[order], tags, p))
+        del rank, parent, step  # before the sorted columns are made: a lower peak
+    else:
+        factors = _Factors()
+    family = _share_factors(Family.from_columns(q[order], a[order], params.x), factors)
     predicted = params.x / (p * l_scale(1 / (2 * params.c), params.x))
     return ConstructionResult(family=family, p=p, predicted_size=predicted)
 

@@ -17,12 +17,12 @@ import math
 import operator
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FamilyFormatError, StructuralError
-from .numtheory import crt_pair, sieve_primes
+from .numtheory import FactorTable, crt_pair, factor_table, sieve_primes
 
 NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
 SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
@@ -67,13 +67,14 @@ class Family:
     A family is stored as two read-only columns, q (the moduli) and a
     (their residues), each made by _column: int64 when every value fits,
     else an object array of Python ints, so a large family holds no object
-    per member.  items, the members as Progressions, is built on first use
-    and cached; the cache is no part of ==, hash or pickle.
-    Family(items, x_bound) and from_columns(q, a, x_bound) validate alike:
-    each member by _reduced, the family by _init.
+    per member.  items, the members as Progressions, and factors, the
+    moduli's factor table, are built on first use and cached; the caches
+    are no part of ==, hash or pickle.  Family(items, x_bound) and
+    from_columns(q, a, x_bound) validate alike: each member by _reduced,
+    the family by _init.
     """
 
-    __slots__ = ("q", "a", "x_bound", "_items")
+    __slots__ = ("q", "a", "x_bound", "_items", "_factors")
 
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
@@ -103,7 +104,7 @@ class Family:
             raise StructuralError(f"moduli must strictly increase, {q[k]} after {q[k - 1]}")
         if q.size and int(q[-1]) > x_bound:
             raise StructuralError(f"modulus {q[-1]} exceeds x_bound {x_bound}")
-        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", items)):
+        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", items), ("_factors", _Factors())):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -118,6 +119,13 @@ class Family:
         if self._items is None:
             object.__setattr__(self, "_items", _progressions(self.q.tolist(), self.a.tolist()))
         return self._items
+
+    @property
+    def factors(self) -> FactorTable:
+        """The factorizations of the moduli, built on first use: from the
+        construction's walk where it supplies them, else by factor_table,
+        which raises as it does for the moduli.  Its arrays are read-only."""
+        return self._factors.get(self.q)
 
     @property
     def size(self) -> int:
@@ -156,6 +164,34 @@ class Family:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Factors:
+    """A factor table, built on first use, then kept: by supply when one is
+    given, else by factor_table from the moduli.  A build that raises keeps
+    nothing, so the next use raises again.  Families with the same moduli
+    may share one (see _share_factors)."""
+
+    __slots__ = ("table", "supply")
+
+    def __init__(self, supply: Callable[[], FactorTable] | None = None):
+        self.table, self.supply = None, supply
+
+    def get(self, moduli: np.ndarray) -> FactorTable:
+        if self.table is None:
+            table = factor_table(moduli) if self.supply is None else self.supply()
+            for column in table:
+                column.flags.writeable = False
+            # dropping the supplier frees what it holds
+            self.table, self.supply = table, None
+        return self.table
+
+
+def _share_factors(family: Family, factors: _Factors) -> Family:
+    # family, now reading its factor table from factors, which must be the
+    # table of its moduli
+    object.__setattr__(family, "_factors", factors)
+    return family
 
 
 def _column(values) -> np.ndarray:
@@ -221,7 +257,8 @@ def translate(family: Family, shift: int) -> Family:
         # a - (q - step) lies in (-q, q), so no sum reaches 2**63
         residues = a - (q - step)
         residues += q * (residues < 0)
-    return Family.from_columns(q, residues, family.x_bound)
+    # the moduli are kept, so their factor table is too
+    return _share_factors(Family.from_columns(q, residues, family.x_bound), family._factors)
 
 
 @dataclass(frozen=True)

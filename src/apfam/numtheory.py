@@ -162,18 +162,17 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
     sieved = _primes_for(top)
     primes = np.array(sieved[1 : bisect_right(sieved, top)], dtype=np.int64)
     inv, lim = _inverses(primes)
-    # each hit is one key, member << 26 | prime << 6 | exponent: hit primes
-    # are below 2**20 and exponents below 2**6, so sorting the keys orders
-    # the hits member by member, each member's by prime.  tags holds each
-    # prime's part of a key, with exponent 1
-    tags = primes << 6 | 1
+    # each hit is one key (_hit_key); hit primes are at most
+    # isqrt(FACTOR_LIMIT) < 2**20.  tags holds each prime's part of a key,
+    # with exponent 1, which a key's low bits count
+    tags = _hit_tag(primes, 1)
     # 2 from the lowest set bit, exact as a double, in every member of at
     # least 2 * 2
     twos = np.frexp(rest & -rest)[1].astype(np.int64) - 1
     twos[rest < 4] = 0
     rest >>= twos
     even = np.flatnonzero(twos)
-    keys = [even << 26 | 2 << 6 | twos[even]]
+    keys = [_hit_key(even, _hit_tag(2, twos[even]))]
     active, values = np.arange(rest.size), rest.copy()  # values: the active cofactors
     start = 0
     while start < primes.size:
@@ -204,13 +203,34 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
         # a member can hit several primes of one block: divide them out in turn
         np.floor_divide.at(values, row, power)
         rest[member] = values[row]
-        keys.append(member << 26 | key)
-    keys = np.sort(np.concatenate(keys))
+        keys.append(_hit_key(member, key))
+    return _from_keys(keys, rest)
+
+
+def _hit_tag(prime, exponent):
+    """A hit's key without its member: prime << 6 | exponent."""
+    return prime << 6 | exponent
+
+
+def _hit_key(member, tag):
+    """A factor table's hit as one int64 key, member << 26 | tag.  Hit
+    primes are below 2**20 and exponents below 2**6, so sorting the keys
+    orders the hits member by member, each member's by prime."""
+    return member << 26 | tag
+
+
+def _from_keys(keys: list[np.ndarray], cofactor: np.ndarray) -> FactorTable:
+    """The table of hits given as keys (_hit_key), in blocks in any order,
+    and the members' cofactors.  The blocks are let go of, keys left empty,
+    before the keys are sorted."""
+    merged = np.concatenate(keys)
+    keys.clear()
+    merged.sort()
     return FactorTable(
-        (keys >> 26).astype(np.int32),
-        (keys >> 6 & (1 << 20) - 1).astype(np.int32),
-        (keys & (1 << 6) - 1).astype(np.int8),
-        rest,
+        (merged >> 26).astype(np.int32),
+        (merged >> 6 & (1 << 20) - 1).astype(np.int32),
+        (merged & (1 << 6) - 1).astype(np.int8),
+        cofactor,
     )
 
 

@@ -98,19 +98,24 @@ class CertificateCheck:
         return self.ok
 
 
-def _squarefree_table(moduli: list[int]) -> FactorTable:
-    # factor_table(moduli), failing as factoring member by member would: on the
-    # first modulus in order that is not squarefree or cannot be factored
+def _squarefree_table(family: Family) -> FactorTable:
+    # the family's factor table, failing as factoring member by member would:
+    # on the first modulus in order that is not squarefree or cannot be factored
+    moduli = family.q
     try:
-        table = factor_table(moduli)
+        table = family.factors
     except CapacityError:
         # a modulus that is not squarefree before the first oversized one fails first
-        _squarefree_table(moduli[: next(i for i, q in enumerate(moduli) if q > FACTOR_LIMIT)])
+        _require_squarefree(factor_table(moduli[: np.argmax(moduli > FACTOR_LIMIT)]), moduli)
         raise
+    _require_squarefree(table, moduli)
+    return table
+
+
+def _require_squarefree(table: FactorTable, moduli: np.ndarray) -> None:
     square = table.index[table.exponent > 1]
     if square.size:
         raise DomainError(f"modulus {moduli[int(square.min())]} is not squarefree")
-    return table
 
 
 class _PrimeMap(NamedTuple):
@@ -125,12 +130,12 @@ class _PrimeMap(NamedTuple):
     size: int
 
 
-def _prime_map(moduli: np.ndarray, params: RefinementParams) -> tuple[np.ndarray, _PrimeMap]:
-    # which moduli _eligible keeps, and the primes of those kept, from one
-    # factor table.  A modulus is squarefree, so p divides it exactly when
-    # p is among its primes.
-    table = _squarefree_table(moduli)
-    omega = np.bincount(table.index, minlength=len(moduli)) + (table.cofactor > 1)
+def _prime_map(family: Family, params: RefinementParams) -> tuple[np.ndarray, _PrimeMap]:
+    # which members _eligible keeps, and the primes of those kept, from the
+    # family's factor table.  A modulus is squarefree, so p divides it
+    # exactly when p is among its primes.
+    table = _squarefree_table(family)
+    omega = np.bincount(table.index, minlength=family.size) + (table.cofactor > 1)
     large = table.cofactor > params.prime_floor
     large[table.index[table.prime > params.prime_floor]] = True
     keep = (omega < params.omega_cap) & large
@@ -148,7 +153,7 @@ def _eligible(family: Family, params: RefinementParams) -> tuple[Family, _PrimeM
     # the base set: the members with omega below omega_cap and a prime factor
     # above prime_floor, both strictly, and their primes.  Requires every
     # modulus squarefree.
-    keep, primes = _prime_map(family.q, params)
+    keep, primes = _prime_map(family, params)
     kept = Family.from_columns(family.q[keep], family.a[keep], family.x_bound)
     return kept, primes
 

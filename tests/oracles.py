@@ -116,3 +116,15 @@ def omega_tail_by_blocks(x, c, block=10**6):
         int(np.count_nonzero(distinct_prime_counts_between(lo, min(lo + block, x + 1)) > threshold))
         for lo in range(1, x + 1, block)
     )
+
+
+def factorizations(table):
+    """Every (member, prime, exponent) of a FactorTable, hits and cofactors
+    alike, ordered by member and prime: two tables of the same moduli may
+    split a member's primes between hits and cofactor differently."""
+    big = np.flatnonzero(table.cofactor > 1)
+    member = np.concatenate((table.index, big))
+    prime = np.concatenate((table.prime, table.cofactor[big]))
+    exponent = np.concatenate((table.exponent, np.ones(big.size, np.int8)))
+    order = np.lexsort((prime, member))
+    return list(zip(member[order].tolist(), prime[order].tolist(), exponent[order].tolist()))

@@ -21,7 +21,7 @@ from apfam.bounds import (
 )
 from apfam.construction import ConstructionParams, build_construction, choose_prime
 from apfam.errors import CapacityError, DomainError
-from apfam.family import Family, Progression, read_family, verify_family, write_family
+from apfam.family import Family, Progression, read_family, translate, verify_family, write_family
 from apfam.numtheory import FACTOR_LIMIT, PSI_LIMIT, l_scale
 from oracles import (
     distinct_prime_counts, distinct_prime_counts_between, omega_tail_by_blocks, split_squarefull
@@ -326,6 +326,18 @@ class TestSquarefullReduce:
                 (pr.residue, pr.modulus) for pr in chain
             ]
             assert verify_family(reduced).ok
+
+
+def test_translated_construction_factors_once(table_builds):
+    # choose_alpha, squarefull_reduce and alpha_exceeding_fraction share the
+    # table the walk supplies, handed on by translate
+    family = translate(build_construction(ConstructionParams(x=10**6)).family, 2**40 + 7)
+    alpha = choose_alpha(family)
+    reduced = squarefull_reduce(family, alpha)
+    alpha_exceeding_fraction(family)
+    assert table_builds == {"factor_table": 0, "tree": 1}
+    assert alpha == choose_alpha_per_member(family)
+    assert [(pr.residue, pr.modulus) for pr in reduced.items] == reduce_per_member(family, alpha)
 
 
 class TestAgainstPerMember:

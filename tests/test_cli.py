@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from apfam import bounds
+from apfam import family as family_module
 from apfam.cli import build_parser, main
 from apfam.construction import DEFAULT_C, ConstructionParams, assign_residue, build_construction
 from apfam.numtheory import crt_pair
@@ -659,8 +659,8 @@ class TestReduce:
             "f4.jsonl",
         )
         calls = []
-        real = bounds.factor_table
-        monkeypatch.setattr(bounds, "factor_table", lambda moduli: calls.append(1) or real(moduli))
+        real = family_module.factor_table
+        monkeypatch.setattr(family_module, "factor_table", lambda moduli: calls.append(1) or real(moduli))
         code, out = run(capsys, "reduce", "--in", "f4.jsonl", "--out", "r4.jsonl")
         assert code == 0 and len(calls) == 1
         assert out.splitlines()[-1] == '{"alpha": 4, "count": 51, "out": "r4.jsonl"}'

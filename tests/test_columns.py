@@ -13,12 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from apfam import family as family_module
-from apfam.bounds import (
-    _choose_and_reduce,
-    alpha_exceeding_fraction,
-    choose_alpha,
-    squarefull_reduce,
-)
+from apfam.bounds import alpha_exceeding_fraction, choose_alpha, squarefull_reduce
 from apfam.cli import main
 from apfam.errors import NotDisjointError
 from apfam.construction import ConstructionParams, build_construction, truncated_construction
@@ -79,7 +74,8 @@ def test_apfam_paths_never_build_the_view(no_view, tmp_path, capsys):
         assert (report.witness.i, report.witness.j) == (3, 200)
 
     alpha = choose_alpha(family)
-    assert squarefull_reduce(family, alpha) == _choose_and_reduce(family)[1]
+    # the walk's factor table and factor_table's give one reduction
+    assert (alpha, squarefull_reduce(family, alpha)) == (choose_alpha(again), squarefull_reduce(again, alpha))
     alpha_exceeding_fraction(family)
 
     squarefree = build_construction(ConstructionParams(x=10**4, squarefree_only=True)).family

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apfam import construction
 from apfam.construction import (
@@ -15,9 +18,10 @@ from apfam.construction import (
     truncated_construction,
 )
 from apfam.errors import CapacityError, DomainError
-from apfam.family import Family, dumps_family, family_digest, verify_family
-from apfam.numtheory import factorize, l_scale
-from oracles import density
+from apfam.cli import main
+from apfam.family import Family, dumps_family, family_digest, verify_family, write_family
+from apfam.numtheory import FACTOR_LIMIT, factor_table, factorize, l_scale
+from oracles import density, factorizations
 
 X100 = [(0, 5), (2, 10), (3, 15), (4, 20), (8, 30), (39, 60)]
 
@@ -207,7 +211,7 @@ class TestBuildConstruction:
         # x past int64 runs the walk on object columns of Python ints
         params = ConstructionParams(x=10**20, c=0.25, squarefree_only=squarefree)
         p = choose_prime(params)
-        q, a = construction._walk(params, p)
+        q, a, *_ = construction._walk(params, p)
         assert p == 23 and q.dtype == a.dtype == object
         assert q.size == _member_count(params.x, p, squarefree, construction.MODULI_LIMIT) == members
         family = build_construction(params).family
@@ -230,6 +234,51 @@ class TestBuildConstruction:
         a = dumps_family(build_construction(ConstructionParams(x=1000)).family)
         b = dumps_family(build_construction(ConstructionParams(x=1000)).family)
         assert a == b
+
+
+class TestWalkFactorTable:
+    """The walk supplies each construction's factor table from the tree it
+    builds the members in, wherever factor_table would take the moduli."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(16, 3 * 10**7), st.floats(0.2, 2.2), st.booleans())
+    @example(10**8, DEFAULT_C, False)
+    @example(10**8, DEFAULT_C, True)
+    def test_matches_factor_table(self, x, c, squarefree):
+        try:
+            params = ConstructionParams(x=x, c=c, squarefree_only=squarefree)
+        except DomainError:  # no prime to anchor on
+            assume(False)
+        family = build_construction(params).family
+        assert family._factors.supply is not None
+        table, expected = family.factors, factor_table(family.q)
+        assert [column.dtype for column in table] == [column.dtype for column in expected]
+        # hits run member by member, each member's by prime, below the cofactor
+        keys = table.index.astype(np.int64) << 32 | table.prime
+        assert (keys[1:] > keys[:-1]).all()
+        assert (table.prime < table.cofactor[table.index]).all()
+        assert factorizations(table) == factorizations(expected)
+
+    @pytest.mark.parametrize(
+        "squarefree, code, out, err",
+        [
+            (False, 2, "", "error: modulus 92 is not squarefree\n"),
+            (True, 0, '{"base_size": 0, "divisible_count": 0, "out": "c.json", "t": 0, "witness_prime": null}\n', ""),
+        ],
+    )
+    def test_past_int64_refine_is_unchanged(self, tmp_path, monkeypatch, squarefree, code, out, err):
+        # x past FACTOR_LIMIT: no table from the walk, and refine gives what
+        # factor_table gave before the walk supplied tables anywhere
+        monkeypatch.chdir(tmp_path)
+        params = ConstructionParams(x=10**20, c=0.25, squarefree_only=squarefree)
+        family = build_construction(params).family
+        assert family._factors.supply is None and family.q.max() <= FACTOR_LIMIT
+        write_family(family, "f.jsonl")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["refine", "--in", "f.jsonl", "--out", "c.json"]) == code
+        assert (stdout.getvalue(), stderr.getvalue()) == (out, err)
+        assert factorizations(family.factors) == factorizations(factor_table(family.q))
 
 
 class TestTruncated:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -15,8 +16,8 @@ from apfam.construction import (
     truncated_construction,
 )
 from apfam import family as family_module
-from apfam.errors import DomainError, FamilyFormatError, StructuralError
-from apfam.numtheory import crt_pair
+from apfam.errors import CapacityError, DomainError, FamilyFormatError, StructuralError
+from apfam.numtheory import FACTOR_LIMIT, crt_pair, factor_table
 from apfam.family import (
     NUMPY_CUTOVER,
     Family,
@@ -30,7 +31,7 @@ from apfam.family import (
     verify_family,
     write_family,
 )
-from oracles import density, first_meeting_pair
+from oracles import density, factorizations, first_meeting_pair
 
 
 def fam(pairs, x_bound):
@@ -442,6 +443,72 @@ class TestTranslate:
         assert shifted.q.dtype == f.q.dtype == (np.int64 if top < 2**63 else object)
         expected = [(a + shift) % q for q, a in zip(moduli, residues)]
         assert shifted.a.tolist() == expected and shifted == Family.from_columns(moduli, expected, top)
+
+
+class TestFactorCache:
+    """Family.factors: built on first use, by the construction's walk or by
+    factor_table, then kept read-only; never part of ==, hash or pickle."""
+
+    @pytest.mark.parametrize("source", ["walk", "factor_table"])
+    def test_table_is_kept_and_read_only(self, source, table_builds):
+        family = build_construction(ConstructionParams(x=10**5)).family
+        if source == "factor_table":
+            family = loads_family(dumps_family(family))
+        table = family.factors
+        assert family.factors is table
+        assert table_builds == {"factor_table": source == "factor_table", "tree": source == "walk"}
+        for column in table:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        assert factorizations(table) == factorizations(factor_table(family.q))
+
+    def test_capacity_error_is_not_kept(self, table_builds):
+        family = fam([(0, 6), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(CapacityError) as caught:
+                family.factors
+            messages.append(str(caught.value))
+        assert messages == [f"{FACTOR_LIMIT + 1} exceeds trial-division limit {FACTOR_LIMIT}"] * 2
+        assert table_builds["factor_table"] == 2
+
+    def test_domain_error_is_not_kept(self, monkeypatch):
+        family = fam([(1, 6), (0, 10)], 10)
+        real, calls = family_module.factor_table, []
+
+        def failing(moduli):
+            calls.append(1)
+            if len(calls) < 3:
+                raise DomainError("cannot factor")
+            return real(moduli)
+
+        monkeypatch.setattr(family_module, "factor_table", failing)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="cannot factor"):
+                family.factors
+        # a build that succeeds is kept
+        assert family.factors is family.factors
+        assert factorizations(family.factors) == [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 5, 1)]
+        assert len(calls) == 3
+
+    def test_cache_is_no_part_of_equality_hash_or_pickle(self, table_builds):
+        built = build_construction(ConstructionParams(x=10**5)).family
+        plain = Family.from_columns(built.q.copy(), built.a.copy(), built.x_bound)
+        built.factors
+        assert built == plain and hash(built) == hash(plain)
+        assert pickle.dumps(built) == pickle.dumps(plain)
+        again = pickle.loads(pickle.dumps(built))
+        assert again == built and table_builds == {"factor_table": 0, "tree": 1}
+        # the copy factors its moduli afresh
+        assert factorizations(again.factors) == factorizations(built.factors)
+        assert table_builds == {"factor_table": 1, "tree": 1}
+
+    def test_translate_hands_the_table_on(self, table_builds):
+        built = build_construction(ConstructionParams(x=10**5)).family
+        shifted = translate(built, 2**40 + 1)
+        assert shifted.factors is translate(shifted, -1).factors is built.factors
+        assert table_builds == {"factor_table": 0, "tree": 1}
 
 
 class TestSerialization:

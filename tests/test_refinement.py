@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from apfam.cli import main
 from apfam.construction import ConstructionParams, build_construction, assign_residue
 from apfam.errors import CapacityError, DomainError, FamilyFormatError, NotDisjointError
-from apfam.family import Family, Progression, verify_family, write_family
+from apfam.family import Family, Progression, read_family, verify_family, write_family
 from apfam.numtheory import FACTOR_LIMIT, factorize, l_scale, omega_threshold, sieve_primes
 from apfam.refinement import (
     CertificateCheck,
@@ -321,17 +321,47 @@ class TestEligibleAgainstPerMember:
         assert prime_lists(pm) == list(expected.values())
 
     def test_not_squarefree_before_oversized_fails_the_base(self):
-        # member order decides: the modulus 12 fails before 10**12 + 1 is reached
+        # member order decides: the modulus 12 fails before 10**12 + 1 is
+        # reached, again on a second call, as the failed table is not kept
         f = fam([(0, 12), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
-        with pytest.raises(DomainError, match="modulus 12 is not squarefree"):
-            _eligible(f, RefinementParams(x=16, **RELAXED))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="modulus 12 is not squarefree"):
+                _eligible(f, RefinementParams(x=16, **RELAXED))
         cert = build_chain(six_member(), RefinementParams(x=4090, **RELAXED))
         assert check_certificate(cert, f) == CertificateCheck(False, "base")
 
     def test_oversized_first_raises_capacity(self):
         f = fam([(0, 6), (0, FACTOR_LIMIT + 1)], FACTOR_LIMIT + 1)
-        with pytest.raises(CapacityError):
-            _eligible(f, RefinementParams(x=16, **RELAXED))
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                _eligible(f, RefinementParams(x=16, **RELAXED))
+
+
+class TestOneTablePerFamily:
+    """build_chain and check_certificate read one cached factor table."""
+
+    def test_construction_takes_the_walks_table(self, table_builds):
+        family = build_construction(ConstructionParams(x=10**6, squarefree_only=True)).family
+        params = RefinementParams(x=10**6, omega_cap=4, prime_floor=60, ratio_denominator=3)
+        cert = build_chain(family, params)
+        assert check_certificate(cert, family).ok and cert.base
+        assert table_builds == {"factor_table": 0, "tree": 1}
+
+    def test_read_family_factors_once(self, tmp_path, table_builds):
+        write_family(stepped(3 * 10**6), tmp_path / "f.jsonl")
+        family = read_family(tmp_path / "f.jsonl")
+        params = RefinementParams(x=3 * 10**6, omega_cap=6, prime_floor=1000, ratio_denominator=2)
+        cert = build_chain(family, params)
+        assert check_certificate(cert, family).ok and cert.t >= 1
+        assert table_builds == {"factor_table": 1, "tree": 0}
+
+    def test_not_squarefree_table_is_kept(self, table_builds):
+        # the table is sound; only the family fails the base filter, each time
+        family = build_construction(ConstructionParams(x=10**5)).family
+        for _ in range(2):
+            with pytest.raises(DomainError, match="is not squarefree"):
+                build_chain(family, RefinementParams(x=10**5))
+        assert table_builds == {"factor_table": 0, "tree": 1}
 
 
 class TestRefineStep:
