@@ -15,9 +15,10 @@ import io
 import json
 import math
 import operator
+import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +30,12 @@ SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
 LEAF_SIZE = 8  # a set this small is scanned, not split
 INT64_MAX = int(np.iinfo(np.int64).max)
 _WRITE_ROWS = 1024  # members formatted by one % in _lines
-_READ_CHARS = 1 << 16  # the text a family file is read in, about 64 KB
-# A canonical progression line is _LINE_HEAD, a value, _LINE_MID, a value,
-# "}\n".  Values of at most _LINE_DIGITS digits fit in int64.
-_LINE_HEAD, _LINE_MID, _LINE_DIGITS = b'{"q": ', b', "a": ', 18
+_READ_CHARS = 1 << 16  # text read from a family file at a time, then on to its line's end
+_LINE = '{"q": %d, "a": %d}\n'  # a progression line, as _lines writes it
+# One or more _LINE, with values of at most 18 digits, so each fits in
+# int64; and _LINE's text around the values, mapped to spaces.
+_CANONICAL = re.compile("(?:%s)+" % re.escape(_LINE).replace("%d", "(?:0|[1-9][0-9]{0,17})"))
+_TEXT_TO_SPACES = str.maketrans(dict.fromkeys(_LINE.replace("%d", ""), " "))
 
 
 def _reduced(residue: int, modulus: int) -> int:
@@ -246,17 +249,14 @@ def _sorted_columns(moduli, residues) -> tuple[np.ndarray, np.ndarray]:
 def translate(family: Family, shift: int) -> Family:
     """Shift every progression by the same constant; disjointness is unaffected."""
     q, a = family.q, family.a
-    if q.dtype == object:
-        residues = [(r + shift) % m for r, m in zip(a.tolist(), q.tolist())]
+    # shift mod each modulus, in Python ints when the moduli or shift are past int64
+    if q.dtype == np.int64 and -INT64_MAX <= shift <= INT64_MAX:
+        step = np.remainder(np.int64(shift), q)
     else:
-        # shift mod each modulus, in Python ints when shift is past int64
-        if -INT64_MAX <= shift <= INT64_MAX:
-            step = np.remainder(np.int64(shift), q)
-        else:
-            step = (shift % q.astype(object)).astype(np.int64)
-        # a - (q - step) lies in (-q, q), so no sum reaches 2**63
-        residues = a - (q - step)
-        residues += q * (residues < 0)
+        step = shift % q.astype(object)
+    # a - (q - step) lies in (-q, q), so no int64 sum reaches 2**63
+    residues = a - (q - step)
+    residues += q * (residues < 0)
     # the moduli are kept, so their factor table is too
     return _share_factors(Family.from_columns(q, residues, family.x_bound), family._factors)
 
@@ -444,7 +444,7 @@ def _lines(family: Family) -> Iterable[str]:
     yield '{"x": %d, "count": %d}\n' % (family.x_bound, family.size)
     for start in range(0, family.size, _WRITE_ROWS):
         rows = np.column_stack((family.q[start : start + _WRITE_ROWS], family.a[start : start + _WRITE_ROWS]))
-        yield '{"q": %d, "a": %d}\n' * len(rows) % tuple(rows.ravel().tolist())
+        yield _LINE * len(rows) % tuple(rows.ravel().tolist())
 
 
 def dumps_family(family: Family) -> str:
@@ -482,92 +482,40 @@ def _parse_line(line: str, number: int) -> dict:
     return row
 
 
-def _blocks(chunks: Iterable[str]) -> Iterator[str]:
-    """The text of chunks in blocks of whole lines: every block but the
-    last ends with a line break."""
-    pending = []
-    for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            yield "".join(pending)
-            pending = []
-        pending.append(chunk[cut:])
-    tail = "".join(pending)
-    if tail:
-        yield tail
-
-
 def _canonical_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The moduli and residues of a block whose every line is canonical, as
-    _lines writes it, with values of at most _LINE_DIGITS digits; else None.
-
-    The bytes are classed as digits or not; the digit runs must be two
-    per line and every byte around them the canonical text.  Intermediates
-    over the bytes are bool or uint8, so a block costs a few times its size.
-    """
-    if not block.isascii():
-        return None
+    """The moduli and residues of a block whose every line is _LINE with
+    values of at most 18 digits; else None."""
     if not block.endswith("\n"):
         block += "\n"  # the last line of a file without a final line break
-    text = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    digit = text - np.uint8(ord("0")) < 10  # bytes below "0" wrap past 9
-    ends = np.flatnonzero(text == ord("\n"))
-    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # first digit of each run
-    stops = np.flatnonzero(digit[:-1] > digit[1:]) + 1  # one past its last
-    if starts.size != 2 * ends.size or stops.size != starts.size:
+    if _CANONICAL.fullmatch(block) is None:
         return None
-    q0, q1, a0, a1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
-    heads = np.concatenate(([0], ends[:-1] + 1))
-    if not ((q0 == heads + len(_LINE_HEAD)).all() and (a0 == q1 + len(_LINE_MID)).all() and (ends == a1 + 1).all()):
-        return None
-    for at, literal in ((heads, _LINE_HEAD), (q1, _LINE_MID), (a1, b"}")):
-        for k, byte in enumerate(literal):
-            if (text[at + k] != byte).any():
-                return None
-    for run_starts, run_stops in ((q0, q1), (a0, a1)):
-        widths = run_stops - run_starts
-        if widths.max() > _LINE_DIGITS or ((widths > 1) & (text[run_starts] == ord("0"))).any():
-            return None
-    return _digit_values(text, q0, q1), _digit_values(text, a0, a1)
+    # the pattern asks for a line at least: fromstring reads no text as [0]
+    values = np.fromstring(block.translate(_TEXT_TO_SPACES), dtype=np.int64, sep=" ")
+    return values[0::2], values[1::2]
 
 
-def _digit_values(text: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    # the values of the digit runs text[starts[i]:stops[i]], read a digit
-    # place at a time with each run right-aligned at the widest one's width;
-    # a place before its run's start reads some other byte, masked to 0
-    width = int((stops - starts).max())
-    values = np.zeros(starts.size, dtype=np.int64)
-    for at in range(-width, 0):
-        place = stops + at
-        values = values * 10 + np.where(place >= starts, text[place] - np.uint8(ord("0")), np.uint8(0))
-    return values
-
-
-def _parse_family(chunks: Iterable[str]) -> Family:
-    """A family from its JSON lines, given as text in chunks; blank lines
+def _parse_family(fh: io.TextIOBase) -> Family:
+    """A family from the JSON lines of the text file fh; blank lines
     skipped.
 
-    Blocks of canonical lines are read in numpy; a block with any other
-    line is read a line at a time by json.  Either way a member is reduced
-    or rejected by _reduced in line order, and lines are numbered in error
-    messages as the non-blank lines they are.
+    After the header, fh is read in blocks of whole lines.  A block of
+    canonical lines is read in numpy; any other block a line at a time by
+    json.  Either way a member is reduced or rejected by _reduced in line
+    order, and lines are numbered in error messages as the non-blank lines
+    they are.
     """
-    header = None
-    number = 0  # non-blank lines so far, the header included
+    line = fh.readline()
+    while line and not line.strip():
+        line = fh.readline()
+    if not line:
+        raise FamilyFormatError("empty family file")
+    header = _parse_line(line, 1)
+    x_bound = _require_int(header.get("x"), "header: field 'x'")
+    count = _require_int(header.get("count"), "header: field 'count'")
+    number = 1  # non-blank lines so far, the header included
     moduli, residues = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for block in _blocks(chunks):
-        start = 0
-        while header is None and start < len(block):
-            end = block.find("\n", start) + 1 or len(block)
-            if block[start:end].strip():
-                header = _parse_line(block[start:end], 1)
-                x_bound = _require_int(header.get("x"), "header: field 'x'")
-                count = _require_int(header.get("count"), "header: field 'count'")
-                number = 1
-            start = end
-        block = block[start:]
-        columns = _canonical_block(block) if block else None
+    for block in iter(lambda: fh.read(_READ_CHARS) + fh.readline(), ""):
+        columns = _canonical_block(block)
         if columns is not None:
             q, a = columns
             for i in np.flatnonzero((q < 2) | (a >= q)).tolist():
@@ -589,8 +537,6 @@ def _parse_family(chunks: Iterable[str]) -> Family:
                 a.append(ai)
         moduli.append(_column(q))
         residues.append(_column(a))
-    if header is None:
-        raise FamilyFormatError("empty family file")
     if count != number - 1:
         raise FamilyFormatError(
             f"header count {count} but {number - 1} progression lines"
@@ -599,13 +545,16 @@ def _parse_family(chunks: Iterable[str]) -> Family:
 
 
 def loads_family(text: str) -> Family:
-    return _parse_family(text[i : i + _READ_CHARS] for i in range(0, len(text), _READ_CHARS))
+    # a text file over text's UTF-8, read as read_family reads its file; a
+    # StringIO would hold four bytes a character
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    return _parse_family(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n"))
 
 
 def read_family(path) -> Family:
     # newline="\n" splits lines exactly where loads_family does
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
-            return _parse_family(iter(lambda: fh.read(_READ_CHARS), ""))
+            return _parse_family(fh)
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"not UTF-8 text ({exc.reason})") from exc

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import pickle
 import random
+import tempfile
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -557,12 +559,19 @@ class TestSerialization:
     @given(family_texts(), st.sampled_from([1, 7, 40, 2**16]))
     def test_canonical_pattern_agrees_with_json_path(self, text, chars):
         # chars small splits the text into blocks of a line or a few, with
-        # lines across the edges of the chunks read
-        with mock.patch.object(family_module, "_READ_CHARS", chars):
-            fast = _outcome(lambda: loads_family(text))
-            with mock.patch.object(family_module, "_canonical_block", lambda block: None):
-                slow = _outcome(lambda: loads_family(text))
+        # lines across the edges of the chunks read; read_family reads the
+        # same text from a file (tmp_path is one folder for every example)
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "fam.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            with mock.patch.object(family_module, "_READ_CHARS", chars):
+                fast = _outcome(lambda: loads_family(text))
+                from_file = _outcome(lambda: read_family(path))
+                with mock.patch.object(family_module, "_canonical_block", lambda block: None):
+                    slow = _outcome(lambda: loads_family(text))
         assert fast == slow
+        assert from_file == fast
 
     def test_canonical_pattern_takes_written_lines_only(self):
         canonical = family_module._canonical_block
@@ -581,6 +590,26 @@ class TestSerialization:
             assert canonical(text) is None
         with pytest.raises(FamilyFormatError):
             loads_family('{"x": 8, "count": 1}\n{"q": %s, "a": 0}\n' % PAST_INT_LIMIT)
+
+        # what dumps_family writes is read back without json, but the header,
+        # over several blocks of _lines and of the reader
+        parse_line = family_module._parse_line
+
+        def header_only(line, number):
+            if number > 1:
+                raise AssertionError(f"line {number} took the json path")
+            return parse_line(line, number)
+
+        with mock.patch.object(family_module, "_parse_line", header_only):
+            for size in (1, 512, 1025, 2600):
+                moduli = list(range(2, 2 + size)) + list(range(10**18 - size, 10**18))
+                residues = [(0, 1, q - 1)[k % 3] for k, q in enumerate(moduli)]
+                written = Family.from_columns(moduli, residues, 10**18 - 1)
+                assert loads_family(dumps_family(written)) == written
+            nineteen_digits = Family.from_columns([2, 10**18], [1, 10**18 - 1], 10**18)
+            with pytest.raises(AssertionError, match="json path"):
+                loads_family(dumps_family(nineteen_digits))
+        assert loads_family(dumps_family(nineteen_digits)) == nineteen_digits
 
     def test_truncated_json(self):
         with pytest.raises(FamilyFormatError):
