@@ -5,6 +5,11 @@ an output file, drops a <file>.manifest.json sidecar recording the command,
 parameters, and sha256 digests of inputs and outputs.  Exit codes: 0 on
 success, 1 on a semantic failure (intersection found, certificate rejected),
 2 on usage or domain errors, 3 when a search ran out of node budget.
+
+Each cmd_* returns (code, summary, written): the exit code, the summary to
+print (a dict, or text printed as it is), and None or the file it wrote as
+(out path, manifest parameters, input paths).  main alone writes manifests
+and prints.
 """
 
 import argparse
@@ -55,7 +60,10 @@ def _write_manifest(out_path, command, parameters, inputs, started) -> None:
         fh.write("\n")
 
 
-def _emit(payload: dict) -> None:
+def _emit(summary: dict | str) -> None:
+    if isinstance(summary, str):
+        sys.stdout.write(summary)
+        return
     # int's limit on the digits it converts to text (Python 3.10.7 on, 0 for
     # none) guards reading, but a witness's common element can pass it: the
     # limit is lifted while the summary is formatted, then restored.
@@ -63,7 +71,7 @@ def _emit(payload: dict) -> None:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(summary, sort_keys=True)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -75,55 +83,40 @@ def _meeting(q_i: int, a_i: int, q_j: int, a_j: int, common: int) -> dict:
     return {"q_i": q_i, "a_i": a_i, "q_j": q_j, "a_j": a_j, "common": common}
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
+def cmd_construct(args):
     params = ConstructionParams(x=args.x, c=args.c, squarefree_only=args.squarefree_only)
     result = build_construction(params)
     write_family(result.family, args.out)
-    _write_manifest(args.out, "construct", dataclasses.asdict(params), [], started)
-    _emit(result.summary() | {"out": args.out})
-    return 0
+    return 0, result.summary() | {"out": args.out}, (args.out, dataclasses.asdict(params), [])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     family = read_family(args.infile)
     report = verify_family(family)
     if report.ok:
-        _emit({"ok": True, "pairs": report.pair_count, "digest": report.digest})
-        return 0
+        return 0, {"ok": True, "pairs": report.pair_count, "digest": report.digest}, None
     w = report.witness
     (qi, qj), (ai, aj) = family.q[[w.i, w.j]].tolist(), family.a[[w.i, w.j]].tolist()
     pair = _meeting(qi, ai, qj, aj, w.common)
-    _emit({"ok": False, "witness": {"i": w.i, "j": w.j} | pair})
-    return 1
+    return 1, {"ok": False, "witness": {"i": w.i, "j": w.j} | pair}, None
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    config = SearchConfig(x=args.x, node_budget=args.budget)
-    result = solve_exact(config)
+def cmd_solve(args):
+    result = solve_exact(SearchConfig(x=args.x, node_budget=args.budget))
+    written = None
     if args.emit_witness:
         write_family(result.witness, args.emit_witness)
-        _write_manifest(
-            args.emit_witness,
-            "solve",
-            {"x": args.x, "budget": args.budget},
-            [],
-            started,
-        )
-    _emit(
-        {
-            "x": args.x,
-            "k_max": result.k_max,
-            "proven_optimal": result.proven_optimal,
-            "nodes": result.nodes,
-        }
-    )
-    return 0 if result.proven_optimal else 3
+        written = (args.emit_witness, {"x": args.x, "budget": args.budget}, [])
+    summary = {
+        "x": args.x,
+        "k_max": result.k_max,
+        "proven_optimal": result.proven_optimal,
+        "nodes": result.nodes,
+    }
+    return (0 if result.proven_optimal else 3), summary, written
 
 
-def cmd_refine(args) -> int:
-    started = time.perf_counter()
+def cmd_refine(args):
     family = read_family(args.infile)
     params = RefinementParams(
         x=family.x_bound,
@@ -133,73 +126,47 @@ def cmd_refine(args) -> int:
     )
     cert = build_chain(family, params)
     write_certificate(cert, args.out)
-    _write_manifest(
-        args.out,
-        "refine",
-        {
-            "omega_cap": params.omega_cap,
-            "prime_floor": params.prime_floor,
-            "ratio_denominator": params.ratio_denominator,
-        },
-        [args.infile],
-        started,
-    )
-    _emit(
-        {
-            "base_size": len(cert.base),
-            "t": cert.t,
-            "witness_prime": cert.witness_prime,
-            "divisible_count": cert.divisible_count,
-            "out": args.out,
-        }
-    )
-    return 0
+    summary = {
+        "base_size": len(cert.base),
+        "t": cert.t,
+        "witness_prime": cert.witness_prime,
+        "divisible_count": cert.divisible_count,
+        "out": args.out,
+    }
+    parameters = dataclasses.asdict(params)
+    del parameters["x"]  # the input family's bound
+    return 0, summary, (args.out, parameters, [args.infile])
 
 
-def cmd_check_cert(args) -> int:
+def cmd_check_cert(args):
     cert = read_certificate(args.cert)
-    family = read_family(args.infile)
-    result = check_certificate(cert, family)
-    _emit(
-        {
-            "ok": result.ok,
-            "reason": result.reason,
-            "strict_property3": result.strict_property3,
-        }
-    )
-    return 0 if result.ok else 1
+    result = check_certificate(cert, read_family(args.infile))
+    return (0 if result.ok else 1), dataclasses.asdict(result), None
 
 
-def cmd_counts(args) -> int:
-    started = time.perf_counter()
+def cmd_counts(args):
     kinds = [kind.replace("-", "_") for kind in args.kind]
     c_values = args.c or [1.0]
     rows = bounds_report(args.x, c_values, kinds=kinds)
     text = rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        _write_manifest(
-            args.out, "counts", {"kind": kinds, "x": args.x, "c": c_values}, [], started
-        )
-        _emit({"rows": len(rows), "out": args.out})
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return 0, text, None
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    parameters = {"kind": kinds, "x": args.x, "c": c_values}
+    return 0, {"rows": len(rows), "out": args.out}, (args.out, parameters, [])
 
 
-def cmd_reduce(args) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args):
     family = read_family(args.infile)
     alpha = choose_alpha(family) if args.alpha is None else args.alpha
     reduced = squarefull_reduce(family, alpha)
     write_family(reduced, args.out)
-    _write_manifest(args.out, "reduce", {"alpha": alpha}, [args.infile], started)
-    _emit({"alpha": alpha, "count": reduced.size, "out": args.out})
-    return 0
+    summary = {"alpha": alpha, "count": reduced.size, "out": args.out}
+    return 0, summary, (args.out, {"alpha": alpha}, [args.infile])
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     family = truncated_construction(args.k)
     started = time.perf_counter()
     hit = _scan_dense(family.q, family.a)
@@ -208,17 +175,15 @@ def cmd_bench(args) -> int:
     report = verify_family(family)
     verify_elapsed = time.perf_counter() - started
     ok = report.ok and hit is None
-    _emit(
-        {
-            "k": args.k,
-            "ok": ok,
-            "pairs": report.pair_count,
-            "seconds": round(elapsed, 3),
-            "pairs_per_second": round(report.pair_count / elapsed),
-            "verify_seconds": round(verify_elapsed, 3),
-        }
-    )
-    return 0 if ok else 1
+    summary = {
+        "k": args.k,
+        "ok": ok,
+        "pairs": report.pair_count,
+        "seconds": round(elapsed, 3),
+        "pairs_per_second": round(report.pair_count / elapsed),
+        "verify_seconds": round(verify_elapsed, 3),
+    }
+    return (0 if ok else 1), summary, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,16 +256,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, summary, written = args.func(args)
+        if written is not None:
+            out_path, parameters, inputs = written
+            _write_manifest(out_path, args.command, parameters, inputs, started)
     except NotDisjointError as exc:
         first, second = exc.first, exc.second
         pair = _meeting(first.modulus, first.residue, second.modulus, second.residue, exc.common)
-        _emit({"ok": False, "counterexample": pair})
-        return 1
+        code, summary = 1, {"ok": False, "counterexample": pair}
     except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FamilyFormatError, StructuralError
-from .numtheory import FactorTable, crt_pair, factor_table, sieve_primes
+from .numtheory import FactorTable, _prime_tuple, crt_pair, factor_table
 
 NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
 SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
@@ -380,7 +380,7 @@ def _scan_partition(moduli: Sequence[int], residues: Sequence[int]) -> tuple[int
     scan([0], others)
     if scanner.best is not None:
         return scanner.best
-    primes = sieve_primes(SPLIT_PRIME_LIMIT)
+    primes = _prime_tuple(SPLIT_PRIME_LIMIT)
     primorial = math.prod(primes)
     bases = [_bases(m, primes, primorial) for m in q]
     stack = [(others, {})]

@@ -29,14 +29,20 @@ PSI_LIMIT = 10**11
 _TABLE_BLOCK = 1 << 13
 
 
-@lru_cache(maxsize=16)
-def _prime_tuple(limit: int) -> tuple[int, ...]:
+def _sieve(limit: int) -> list[int]:
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(np.flatnonzero(sieve).tolist())
+    return np.flatnonzero(sieve).tolist()
+
+
+@lru_cache(maxsize=16)
+def _prime_tuple(limit: int) -> tuple[int, ...]:
+    # cached, for internal callers whose limits are bounded; sieve_primes is
+    # not, so a large public limit leaves no list behind
+    return tuple(_sieve(limit))
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -45,7 +51,7 @@ def sieve_primes(limit: int) -> list[int]:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds {SIEVE_LIMIT}")
-    return list(_prime_tuple(limit))
+    return _sieve(limit)
 
 
 def _primes_for(bound: int) -> tuple[int, ...]:

@@ -31,6 +31,9 @@ from .errors import CapacityError, DomainError, FamilyFormatError, NotDisjointEr
 from .family import Family, Progression, _require_int
 from .numtheory import FACTOR_LIMIT, FactorTable, crt_pair, factor_table, l_scale, omega_threshold
 
+# RefinementParams' float fields, each a JSON number in a certificate
+_THRESHOLDS = ("omega_cap", "prime_floor", "ratio_denominator")
+
 
 @dataclass(frozen=True)
 class RefinementParams:
@@ -54,7 +57,7 @@ class RefinementParams:
             object.__setattr__(self, "prime_floor", l_scale(1, self.x))
         if self.ratio_denominator is None:
             object.__setattr__(self, "ratio_denominator", omega_threshold(self.x, 1))
-        for name in ("omega_cap", "prime_floor", "ratio_denominator"):
+        for name in _THRESHOLDS:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_cap <= 0:
@@ -417,14 +420,21 @@ def certificate_from_dict(data: dict) -> RefinementCertificate:
             raise FamilyFormatError(f"certificate field {key!r} must be an integer")
         return values
 
+    def real(value, key: str) -> int | float:
+        # a JSON number; a bool or null would pass as 1 or as the default
+        if type(value) not in (int, float):
+            raise FamilyFormatError(f"certificate field {key!r} must be a number")
+        return value
+
     try:
         params = RefinementParams(
             x=num(data["params"]["x"], "x"),
-            omega_cap=data["params"]["omega_cap"],
-            prime_floor=data["params"]["prime_floor"],
-            ratio_denominator=data["params"]["ratio_denominator"],
+            **{key: real(data["params"][key], key) for key in _THRESHOLDS},
         )
         nums(chain.from_iterable(data["base"]), "base")
+        # read back only as written: a member's residue lies in [0, q)
+        if not all(q >= 2 and 0 <= a < q for q, a in data["base"]):
+            raise FamilyFormatError("certificate field 'base' needs each [q, a] with q >= 2, 0 <= a < q")
         base = tuple(Progression(a, q) for q, a in data["base"])
         steps = tuple(
             RefinementStep(

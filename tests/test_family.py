@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apfam.construction import (
     ConstructionParams,
@@ -67,6 +67,7 @@ LINE_FORMS = [
     ' {"q": %s, "a": %s}',
     '{"q": %s, "a": %s} ',
     '{"q": %s, "a": %s}\r',
+    '{"q": %s,\r"a": %s}',
     '{"q": %s, "a": %s}x',
     '{"q": %s.0, "a": %s}',
     '{"q": %s, "a": %s, "a": 1}',
@@ -557,6 +558,7 @@ class TestSerialization:
         assert outcomes[0] == outcomes[1]
 
     @given(family_texts(), st.sampled_from([1, 7, 40, 2**16]))
+    @example('{"x": 8, "count": 1}\n{"q": 5,\r"a": 1}\n', 2**16)
     def test_canonical_pattern_agrees_with_json_path(self, text, chars):
         # chars small splits the text into blocks of a line or a few, with
         # lines across the edges of the chunks read; read_family reads the

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from apfam import numtheory
 from apfam.errors import CapacityError, DomainError
 from apfam.numtheory import (
     FACTOR_LIMIT,
@@ -45,6 +46,12 @@ class TestSievePrimes:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             sieve_primes(10**9)
+
+    def test_public_call_not_cached(self):
+        # each cached entry holds every prime up to its limit
+        before = numtheory._prime_tuple.cache_info().currsize
+        assert len(sieve_primes(104_729)) == 10_000
+        assert numtheory._prime_tuple.cache_info().currsize == before
 
 
 class TestPrimeCounter:

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -638,6 +639,26 @@ class TestSerialization:
         with pytest.raises(FamilyFormatError, match=field):
             certificate_from_dict(data)
 
+    @pytest.mark.parametrize("member", [0, -1])
+    @pytest.mark.parametrize("residue", ["q", -1])
+    def test_base_residue_outside_range_rejected(self, member, residue):
+        # read back only as written: no residue is reduced, with or without a warning
+        data = certificate_to_dict(build_chain(six_member(), RefinementParams(x=4090, **RELAXED)))
+        q = data["base"][member][0]
+        data["base"][member][1] = q if residue == "q" else residue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FamilyFormatError, match="'base'"):
+                certificate_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["omega_cap", "prime_floor", "ratio_denominator"])
+    @pytest.mark.parametrize("value", [True, False, None, "2"])
+    def test_threshold_must_be_a_number(self, field, value):
+        data = certificate_to_dict(build_chain(six_member(), RefinementParams(x=4090, **RELAXED)))
+        data["params"][field] = value
+        with pytest.raises(FamilyFormatError, match=field):
+            certificate_from_dict(data)
+
     def test_json_tamper_detected(self, tmp_path):
         cert = build_chain(six_member(), RefinementParams(x=4090, **RELAXED))
         data = certificate_to_dict(cert)
@@ -736,7 +757,6 @@ class TestCheckCertExitCodes:
             write_family(genuine(name)[0], files[name])
         return files
 
-    @pytest.mark.filterwarnings("ignore:residue")
     @settings(max_examples=150, deadline=None)
     @given(one_field_edit())
     @example(("six", ("params", "ratio_denominator"), 1e300))
