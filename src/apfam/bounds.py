@@ -12,6 +12,7 @@ family that inherits disjointness.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,6 +93,7 @@ def squarefull_reduce(family: Family, alpha: int) -> Family:
     distinctness carry over because the discarded alpha is common to every
     pair.
     """
+    alpha = operator.index(alpha)
     if alpha < 1:
         raise DomainError(f"alpha must be positive, got {alpha}")
     # the members kept stay in modulus order, and dividing by alpha keeps it

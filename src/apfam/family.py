@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import FamilyFormatError, StructuralError
-from .numtheory import FactorTable, _prime_tuple, crt_pair, factor_table
+from .numtheory import FactorTable, _int_column, _prime_tuple, crt_pair, factor_table
 
 NUMPY_CUTOVER = 200  # a scan row with this many partners runs in numpy
 SPLIT_PRIME_LIMIT = 1000  # trial division bound for the split divisors
@@ -70,8 +70,10 @@ class Family:
     A family is stored as two read-only columns, q (the moduli) and a
     (their residues), each made by _column: int64 when every value fits,
     else an object array of Python ints, so a large family holds no object
-    per member.  items, the members as Progressions, and factors, the
-    moduli's factor table, are built on first use and cached; the caches
+    per member.  items, the members as Progressions of Python ints, and
+    factors, the moduli's factor table, are built on first use and cached
+    (items from the columns, unless Family(items, x_bound) was given
+    Progressions of Python ints, which it keeps as the view); the caches
     are no part of ==, hash or pickle.  Family(items, x_bound) and
     from_columns(q, a, x_bound) validate alike: each member by _reduced,
     the family by _init.
@@ -81,8 +83,11 @@ class Family:
 
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
-        moduli = _column([pr.modulus for pr in items])
-        self._init(moduli, _column([pr.residue for pr in items]), x_bound, items)
+        self._init(_column([pr.modulus for pr in items]), _column([pr.residue for pr in items]), x_bound)
+        # Progressions of Python ints are the view the columns would give, so
+        # they serve as it; a subfamily then shares its members' objects
+        if all(type(pr.modulus) is int and type(pr.residue) is int for pr in items):
+            object.__setattr__(self, "_items", items)
 
     @classmethod
     def from_columns(cls, moduli: Iterable[int], residues: Iterable[int], x_bound: int) -> "Family":
@@ -95,10 +100,10 @@ class Family:
         if q.size and not ((q >= 2).all() and (a >= 0).all() and (a < q).all()):
             a = _column(list(map(_reduced, a.tolist(), q.tolist())))
         family = object.__new__(cls)
-        family._init(q, a, x_bound, None)
+        family._init(q, a, x_bound)
         return family
 
-    def _init(self, q: np.ndarray, a: np.ndarray, x_bound: int, items) -> None:
+    def _init(self, q: np.ndarray, a: np.ndarray, x_bound: int) -> None:
         # every member is already checked; this checks the family
         if x_bound < 2:
             raise StructuralError(f"x_bound must be >= 2, got {x_bound}")
@@ -107,7 +112,7 @@ class Family:
             raise StructuralError(f"moduli must strictly increase, {q[k]} after {q[k - 1]}")
         if q.size and int(q[-1]) > x_bound:
             raise StructuralError(f"modulus {q[-1]} exceeds x_bound {x_bound}")
-        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", items), ("_factors", _Factors())):
+        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", None), ("_factors", _Factors())):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -160,7 +165,7 @@ class Family:
 
     def __setstate__(self, state):
         q, a, x_bound = state
-        self._init(_column_from_state(q), _column_from_state(a), x_bound, None)
+        self._init(_column_from_state(q), _column_from_state(a), x_bound)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -198,21 +203,14 @@ def _share_factors(family: Family, factors: _Factors) -> Family:
 
 
 def _column(values) -> np.ndarray:
-    """values as a family column: a read-only 1-D array, int64 when every
-    value fits in int64, else an object array of Python ints.
+    """values as a family column: _int_column's array, made read-only.
 
-    An int64 array is taken over without a copy and made read-only; its
-    caller keeps no other use of it.
+    An int64 array is taken over without a copy; its caller keeps no other
+    use of it.  A value that is no integer raises TypeError.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
-        if not isinstance(values, (list, tuple, np.ndarray)):
-            values = list(values)
-        try:
-            values = np.array(values, dtype=np.int64)
-        except OverflowError:
-            values = np.array(list(map(operator.index, values)), dtype=object)
-    values.flags.writeable = False
-    return values
+    column = _int_column(values)
+    column.flags.writeable = False
+    return column
 
 
 def _column_state(column: np.ndarray) -> bytes | tuple[int, ...]:
@@ -248,6 +246,7 @@ def _sorted_columns(moduli, residues) -> tuple[np.ndarray, np.ndarray]:
 
 def translate(family: Family, shift: int) -> Family:
     """Shift every progression by the same constant; disjointness is unaffected."""
+    shift = operator.index(shift)
     q, a = family.q, family.a
     # shift mod each modulus, in Python ints when the moduli or shift are past int64
     if q.dtype == np.int64 and -INT64_MAX <= shift <= INT64_MAX:

@@ -10,6 +10,7 @@ their size limits; a count capped at n stops once it passes n.
 """
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -146,6 +147,22 @@ def _inverses(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, np.iinfo(np.uint64).max // p
 
 
+def _int_column(values) -> np.ndarray:
+    """values as a 1-D array of exact integers: int64 when every value fits,
+    else an object array of Python ints.  An int64 array is returned as it
+    is.  Any other value is taken by operator.index, so a float, complex or
+    string raises TypeError; a list's dtype is never inferred, as
+    np.asarray([3, 2**63]) would make it float64."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    # an array's values as Python ints, a uint64 past int64 included
+    values = list(map(operator.index, values.tolist() if isinstance(values, np.ndarray) else values))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def factor_table(moduli: Sequence[int]) -> FactorTable:
     """Factor every modulus at once by trial division on int64 arrays.
 
@@ -158,12 +175,10 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
     equals factorize's, and the first modulus in order that factorize
     rejects raises the same error here.
     """
-    try:
-        rest = np.array(moduli, dtype=np.int64)
-    except OverflowError:  # a modulus past int64
-        rest = None
-    if rest is None or rest.size and not 1 <= rest.min() <= rest.max() <= FACTOR_LIMIT:
-        factorize(int(next(n for n in moduli if not 1 <= n <= FACTOR_LIMIT)))
+    rest = _int_column(moduli)
+    # an object column holds a modulus past int64
+    if rest.dtype != np.int64 or rest.size and not 1 <= rest.min() <= rest.max() <= FACTOR_LIMIT:
+        factorize(next(n for n in rest.tolist() if not 1 <= n <= FACTOR_LIMIT))
     top = math.isqrt(int(rest.max())) if rest.size else 1
     sieved = _primes_for(top)
     primes = np.array(sieved[1 : bisect_right(sieved, top)], dtype=np.int64)
@@ -176,7 +191,7 @@ def factor_table(moduli: Sequence[int]) -> FactorTable:
     # least 2 * 2
     twos = np.frexp(rest & -rest)[1].astype(np.int64) - 1
     twos[rest < 4] = 0
-    rest >>= twos
+    rest = rest >> twos  # a new array: the moduli are left as they are
     even = np.flatnonzero(twos)
     keys = [_hit_key(even, _hit_tag(2, twos[even]))]
     active, values = np.arange(rest.size), rest.copy()  # values: the active cofactors

@@ -20,7 +20,7 @@ can replay the run independently.
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -133,10 +133,12 @@ class _PrimeMap(NamedTuple):
     size: int
 
 
-def _prime_map(family: Family, params: RefinementParams) -> tuple[np.ndarray, _PrimeMap]:
-    # which members _eligible keeps, and the primes of those kept, from the
-    # family's factor table.  A modulus is squarefree, so p divides it
-    # exactly when p is among its primes.
+def _eligible(family: Family, params: RefinementParams) -> tuple[np.ndarray, np.ndarray, _PrimeMap]:
+    # the base set: the members with omega below omega_cap and a prime factor
+    # above prime_floor, both strictly, as slices of the family's moduli and
+    # residues, and their primes, from the family's factor table.  Requires
+    # every modulus squarefree, so p divides one exactly when p is among its
+    # primes.
     table = _squarefree_table(family)
     omega = np.bincount(table.index, minlength=family.size) + (table.cofactor > 1)
     large = table.cofactor > params.prime_floor
@@ -149,20 +151,12 @@ def _prime_map(family: Family, params: RefinementParams) -> tuple[np.ndarray, _P
     # after every hit
     member = np.concatenate((position[table.index[hit]], position[big]))
     primes, pid = np.unique(np.concatenate((table.prime[hit], table.cofactor[big])), return_inverse=True)
-    return keep, _PrimeMap(member, pid.ravel(), primes, int(np.count_nonzero(keep)))
-
-
-def _eligible(family: Family, params: RefinementParams) -> tuple[Family, _PrimeMap]:
-    # the base set: the members with omega below omega_cap and a prime factor
-    # above prime_floor, both strictly, and their primes.  Requires every
-    # modulus squarefree.
-    keep, primes = _prime_map(family, params)
-    kept = Family.from_columns(family.q[keep], family.a[keep], family.x_bound)
-    return kept, primes
+    pm = _PrimeMap(member, pid.ravel(), primes, int(np.count_nonzero(keep)))
+    return family.q[keep], family.a[keep], pm
 
 
 # The step rules, shared by the chain and its checker.  Both hold members as
-# ascending positions into the base family's columns, so position order is
+# ascending positions into the base's columns, so position order is
 # modulus order, and primes as ids into the prime map's primes; used is a
 # mask over those ids.
 
@@ -225,13 +219,10 @@ def _stop_witness(
     return None
 
 
-def _prime_id(p: int | None, pm: _PrimeMap) -> int | None:
-    # the id of p among the prime map's primes, or None; p is any int or
-    # None, so it is range-checked before numpy sees it
-    if p is None or not 2 <= p <= int(pm.primes[-1]):
-        return None
-    i = int(np.searchsorted(pm.primes, p))
-    return i if pm.primes[i] == p else None
+def _position(ascending: list[int], v: int) -> int | None:
+    # the index of v in an ascending list of Python ints, or None; v is any int
+    i = bisect.bisect_left(ascending, v)
+    return i if i < len(ascending) and ascending[i] == v else None
 
 
 def build_chain(family: Family, params: RefinementParams) -> RefinementCertificate:
@@ -243,8 +234,7 @@ def build_chain(family: Family, params: RefinementParams) -> RefinementCertifica
     (the defaults are equal); with a smaller ratio the chain can strand
     itself on one member with no unused prime, which raises DomainError.
     """
-    base, pm = _eligible(family, params)
-    q, a = base.q, base.a
+    q, a, pm = _eligible(family, params)
     # the certificate's own Progressions, not the family's items view
     base_items = tuple(map(Progression, a.tolist(), q.tolist()))
     if not base_items:
@@ -315,11 +305,11 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     params = cert.params
     ratio = params.ratio_denominator
     try:
-        expected_base, pm = _eligible(family, params)
+        base_q, base_a, pm = _eligible(family, params)
     except DomainError:
         return CertificateCheck(False, "base")
-    q, a = expected_base.q.tolist(), expected_base.a.tolist()
-    if [pr.modulus for pr in cert.base] != q or [pr.residue for pr in cert.base] != a:
+    q = base_q.tolist()
+    if [pr.modulus for pr in cert.base] != q or [pr.residue for pr in cert.base] != base_a.tolist():
         return CertificateCheck(False, "base")
     if cert.t != len(cert.steps):
         return CertificateCheck(False, "structure")
@@ -337,9 +327,8 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     combined = 0
     strict = True
     for k, step in enumerate(cert.steps, start=1):
-        chosen = bisect.bisect_left(q, step.chosen_modulus)
-        found = chosen < len(q) and q[chosen] == step.chosen_modulus
-        if step.index != k or not found or chosen not in current:
+        chosen = _position(q, step.chosen_modulus)
+        if step.index != k or chosen is None or chosen not in current:
             return CertificateCheck(False, "structure")
         candidates = _candidates(chosen, used, pm)
         candidate_primes = tuple(pm.primes[candidates].tolist())
@@ -348,8 +337,8 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
         if _first_uncovered(current, chosen, candidates, pm) is not None:
             return CertificateCheck(False, "covering")
         prime = int(candidates[candidate_primes.index(step.prime)])
-        survivors = _in_class(current, prime, step.residue_class, expected_base.a, pm)
-        if step.survivors != tuple(expected_base.q[survivors].tolist()):
+        survivors = _in_class(current, prime, step.residue_class, base_a, pm)
+        if step.survivors != tuple(base_q[survivors].tolist()):
             return CertificateCheck(False, "survivors")
         new_product = product * step.prime
         if (
@@ -370,7 +359,7 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
 
     # a witness that is no prime of the base divides no survivor, so the
     # first test rejects it, as it does a missing one
-    witness = _prime_id(cert.witness_prime, pm)
+    witness = None if cert.witness_prime is None else _position(pm.primes.tolist(), cert.witness_prime)
     count = 0 if witness is None else _divisible(current, witness, pm).size
     if count != cert.divisible_count or count * ratio < current.size:
         return CertificateCheck(False, "Property 4", strict)
@@ -382,31 +371,20 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     return CertificateCheck(True, None, strict)
 
 
+def _fields(obj) -> dict:
+    # a dataclass's fields by name, in field order, values as they are
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def certificate_to_dict(cert: RefinementCertificate) -> dict:
-    return {
-        "params": {
-            "x": cert.params.x,
-            "omega_cap": cert.params.omega_cap,
-            "prime_floor": cert.params.prime_floor,
-            "ratio_denominator": cert.params.ratio_denominator,
-        },
-        "base": [[pr.modulus, pr.residue] for pr in cert.base],
-        "steps": [
-            {
-                "index": s.index,
-                "chosen_modulus": s.chosen_modulus,
-                "candidate_primes": list(s.candidate_primes),
-                "prime": s.prime,
-                "residue_class": s.residue_class,
-                "combined_residue": s.combined_residue,
-                "survivors": list(s.survivors),
-            }
-            for s in cert.steps
-        ],
-        "t": cert.t,
-        "witness_prime": cert.witness_prime,
-        "divisible_count": cert.divisible_count,
-    }
+    # the certificate's fields, in order: params by name, base as [q, a]
+    # pairs, and each step's fields with its tuples as lists
+    steps = [
+        {**_fields(s), "candidate_primes": list(s.candidate_primes), "survivors": list(s.survivors)}
+        for s in cert.steps
+    ]
+    base = [[pr.modulus, pr.residue] for pr in cert.base]
+    return {**_fields(cert), "params": asdict(cert.params), "base": base, "steps": steps}
 
 
 def certificate_from_dict(data: dict) -> RefinementCertificate:

@@ -4,6 +4,7 @@ asks for it."""
 
 import hashlib
 import json
+import operator
 import pickle
 import random
 import warnings
@@ -29,6 +30,7 @@ from apfam.family import (
     verify_family,
     write_family,
 )
+from apfam.numtheory import factor_table
 from apfam.refinement import RefinementParams, build_chain, certificate_to_dict, check_certificate
 from apfam.solver import SearchConfig, solve_exact
 
@@ -217,6 +219,54 @@ class TestValueContract:
         assert Family.build([Progression(a, q) for a, q in rows], family.x_bound) == family
         with pytest.raises(DomainError):
             Family.from_columns([q for _, q in rows], [a for a, _ in rows], family.x_bound)
+
+
+class TestExactIntegers:
+    """A column holds exactly the integers given: any other value raises
+    TypeError, never truncated or parsed, and an unsigned value past int64
+    keeps its value in an object column."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Family.from_columns([3.5, 5.9], [1.7, 2], 10),
+            lambda: Family.from_columns(["3", "5"], ["1", "2"], 10),
+            lambda: Family.from_columns([3, 2**70], [1, 2.5], 2**71),
+            lambda: Family.from_columns(np.array([3.0, 5.0]), [1, 2], 10),
+            lambda: Family.from_columns([3, 5], [1, 2j], 10),
+            lambda: Family([Progression(1.5, 3)], 10),
+            lambda: factor_table([4.5]),
+            lambda: factor_table(["12"]),
+            lambda: translate(Family.from_columns([3, 5], [1, 2], 10), 1.5),
+            lambda: squarefull_reduce(Family.from_columns([3, 5], [1, 2], 10), 1.5),
+        ],
+    )
+    def test_non_integers_raise(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_unsigned_past_int64(self):
+        top = 2**63 + 5
+        family = Family.from_columns(np.array([3, top], dtype=np.uint64), np.array([1, 2], dtype=np.uint64), top)
+        assert family.q.dtype == object and family.a.dtype == np.int64
+        assert [type(q) for q in family.q] == [int, int]
+        assert family == Family.from_columns([3, top], [1, 2], top)
+
+    def test_int64_taken_over_and_factored_in_place(self):
+        moduli = np.array([12, 35])
+        assert Family.from_columns(moduli, [1, 2], 35).q is moduli
+        assert factor_table(moduli).cofactor.tolist() == [3, 7]
+        assert moduli.tolist() == [12, 35]
+
+    def test_items_view_holds_python_ints(self):
+        # numpy scalars in, Python ints out, as from the equal family's columns
+        family = Family([Progression(np.int64(1), np.int64(5)), Progression(2, 7)], 10)
+        assert family == Family.from_columns([5, 7], [1, 2], 10)
+        assert [type(v) for pr in family.items for v in (pr.residue, pr.modulus)] == [int] * 4
+        assert json.dumps([pr.residue for pr in family.items]) == "[1, 2]"
+        # Progressions of Python ints are kept as the view: a subfamily shares them
+        exact = [Progression(1, 5), Progression(2, 7)]
+        assert all(map(operator.is_, Family(exact, 10).items, exact))
 
 
 def python_ints(value) -> bool:

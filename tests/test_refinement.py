@@ -265,7 +265,7 @@ class TestParams:
 
 def base_moduli(family, params):
     # the chain's base set, which the per-member reference gives too
-    moduli = _eligible(family, params)[0].moduli()
+    moduli = _eligible(family, params)[0].tolist()
     assert moduli == list(eligible_per_member(family, params))
     return moduli
 
@@ -317,8 +317,8 @@ class TestEligibleAgainstPerMember:
             with pytest.raises(DomainError, match=str(err)):
                 _eligible(f, params)
             return
-        kept, pm = _eligible(f, params)
-        assert kept.moduli() == list(expected)
+        kept, _, pm = _eligible(f, params)
+        assert kept.tolist() == list(expected)
         assert prime_lists(pm) == list(expected.values())
 
     def test_not_squarefree_before_oversized_fails_the_base(self):
@@ -599,6 +599,14 @@ class TestCheckCertificate:
         write_certificate(forged, cert_file)
         assert main(["check-cert", "--cert", str(cert_file), "--in", str(fam_file)]) == 1
         assert json.loads(capsys.readouterr().out)["reason"] == "Property 4"
+
+    def test_truthiness_is_ok(self):
+        # a caller may test the check itself: a rejected one must be falsy
+        cert = build_chain(six_member(), self.params())
+        accepted = check_certificate(cert, six_member())
+        rejected = check_certificate(dataclasses.replace(cert, divisible_count=4), six_member())
+        assert accepted.ok and bool(accepted) is True
+        assert not rejected.ok and bool(rejected) is False
 
     def test_composite_witness_of_a_used_prime_rejected(self):
         # 2018 = 2 * 1009 divides the same 149 survivors as the genuine
