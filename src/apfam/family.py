@@ -70,13 +70,11 @@ class Family:
     A family is stored as two read-only columns, q (the moduli) and a
     (their residues), each made by _column: int64 when every value fits,
     else an object array of Python ints, so a large family holds no object
-    per member.  items, the members as Progressions of Python ints, and
-    factors, the moduli's factor table, are built on first use and cached
-    (items from the columns, unless Family(items, x_bound) was given
-    Progressions of Python ints, which it keeps as the view); the caches
-    are no part of ==, hash or pickle.  Family(items, x_bound) and
-    from_columns(q, a, x_bound) validate alike: each member by _reduced,
-    the family by _init.
+    per member.  items, the members as Progressions of Python ints built
+    from the columns, and factors, the moduli's factor table, are built on
+    first use and cached; the caches are no part of ==, hash or pickle.
+    Family(items, x_bound) and from_columns(q, a, x_bound) validate alike:
+    each member by _reduced, the family by _init.
     """
 
     __slots__ = ("q", "a", "x_bound", "_items", "_factors")
@@ -84,10 +82,6 @@ class Family:
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
         self._init(_column([pr.modulus for pr in items]), _column([pr.residue for pr in items]), x_bound)
-        # Progressions of Python ints are the view the columns would give, so
-        # they serve as it; a subfamily then shares its members' objects
-        if all(type(pr.modulus) is int and type(pr.residue) is int for pr in items):
-            object.__setattr__(self, "_items", items)
 
     @classmethod
     def from_columns(cls, moduli: Iterable[int], residues: Iterable[int], x_bound: int) -> "Family":

@@ -20,7 +20,7 @@ can replay the run independently.
 import bisect
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -371,20 +371,15 @@ def check_certificate(cert: RefinementCertificate, family: Family) -> Certificat
     return CertificateCheck(True, None, strict)
 
 
-def _fields(obj) -> dict:
-    # a dataclass's fields by name, in field order, values as they are
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def certificate_to_dict(cert: RefinementCertificate) -> dict:
     # the certificate's fields, in order: params by name, base as [q, a]
     # pairs, and each step's fields with its tuples as lists
     steps = [
-        {**_fields(s), "candidate_primes": list(s.candidate_primes), "survivors": list(s.survivors)}
+        {**vars(s), "candidate_primes": list(s.candidate_primes), "survivors": list(s.survivors)}
         for s in cert.steps
     ]
     base = [[pr.modulus, pr.residue] for pr in cert.base]
-    return {**_fields(cert), "params": asdict(cert.params), "base": base, "steps": steps}
+    return {**vars(cert), "params": asdict(cert.params), "base": base, "steps": steps}
 
 
 def certificate_from_dict(data: dict) -> RefinementCertificate:
