@@ -14,6 +14,7 @@ and prints.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -250,10 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps nothing from one call to the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()

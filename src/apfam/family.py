@@ -6,7 +6,10 @@ gcd test over every pair; verify_family settles most pairs a residue
 class at a time and tests the rest one by one.  A family ties its members
 to an upper bound x_bound on the moduli and is stored on disk as JSON
 lines: one header object, then one object per progression in modulus
-order.
+order.  A family is named by the sha256 of that canonical text, which is
+hashed once: write_family records it as it writes the text, read_family
+and loads_family as they read a file that is the canonical text byte for
+byte, and family_digest otherwise, on first use.
 """
 
 import bisect
@@ -31,6 +34,7 @@ LEAF_SIZE = 8  # a set this small is scanned, not split
 INT64_MAX = int(np.iinfo(np.int64).max)
 _WRITE_ROWS = 1024  # members formatted by one % in _lines
 _READ_CHARS = 1 << 16  # text read from a family file at a time, then on to its line's end
+_HEADER = '{"x": %d, "count": %d}\n'  # the header line, as _lines writes it
 _LINE = '{"q": %d, "a": %d}\n'  # a progression line, as _lines writes it
 # One or more _LINE, with values of at most 18 digits, so each fits in
 # int64; and _LINE's text around the values, mapped to spaces.
@@ -72,12 +76,13 @@ class Family:
     else an object array of Python ints, so a large family holds no object
     per member.  items, the members as Progressions of Python ints built
     from the columns, and factors, the moduli's factor table, are built on
-    first use and cached; the caches are no part of ==, hash or pickle.
+    first use and cached, as is the digest of the canonical text (see
+    family_digest); the caches are no part of ==, hash or pickle.
     Family(items, x_bound) and from_columns(q, a, x_bound) validate alike:
     each member by _reduced, the family by _init.
     """
 
-    __slots__ = ("q", "a", "x_bound", "_items", "_factors")
+    __slots__ = ("q", "a", "x_bound", "_items", "_factors", "_digest")
 
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
@@ -106,7 +111,8 @@ class Family:
             raise StructuralError(f"moduli must strictly increase, {q[k]} after {q[k - 1]}")
         if q.size and int(q[-1]) > x_bound:
             raise StructuralError(f"modulus {q[-1]} exceeds x_bound {x_bound}")
-        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), ("_items", None), ("_factors", _Factors())):
+        caches = (("_items", None), ("_factors", _Factors()), ("_digest", None))
+        for name, value in (("q", q), ("a", a), ("x_bound", x_bound), *caches):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -225,17 +231,6 @@ def _increasing(q: np.ndarray) -> bool:
 def _progressions(moduli: Sequence[int], residues: Sequence[int]) -> tuple[Progression, ...]:
     # Family.items' builder; no hot path calls it
     return tuple(map(Progression, residues, moduli))
-
-
-def _sorted_columns(moduli, residues) -> tuple[np.ndarray, np.ndarray]:
-    """Both as columns, ordered by modulus; each residue must lie in
-    [0, its modulus).  Equal moduli may come out in either order: a family
-    rejects them by value alone, "moduli must strictly increase, v after v"."""
-    q, a = _column(moduli), _column(residues)
-    if _increasing(q):
-        return q, a
-    order = np.argsort(q)
-    return q[order], a[order]
 
 
 def translate(family: Family, shift: int) -> Family:
@@ -434,7 +429,7 @@ def verify_family(family: Family) -> VerificationReport:
 def _lines(family: Family) -> Iterable[str]:
     # The bytes json.dumps gives each line's object, formatted directly,
     # a block of members at a time.
-    yield '{"x": %d, "count": %d}\n' % (family.x_bound, family.size)
+    yield _HEADER % (family.x_bound, family.size)
     for start in range(0, family.size, _WRITE_ROWS):
         rows = np.column_stack((family.q[start : start + _WRITE_ROWS], family.a[start : start + _WRITE_ROWS]))
         yield _LINE * len(rows) % tuple(rows.ravel().tolist())
@@ -445,16 +440,34 @@ def dumps_family(family: Family) -> str:
 
 
 def family_digest(family: Family) -> str:
-    """sha256 of the canonical serialized bytes, hashed line by line."""
-    digest = hashlib.sha256()
-    for line in _lines(family):
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+    """sha256 of the canonical serialized bytes, dumps_family's text in
+    UTF-8: the digest write_family or read_family recorded for this family,
+    else hashed a block of lines at a time and recorded."""
+    if family._digest is None:
+        digest = hashlib.sha256()
+        for line in _lines(family):
+            digest.update(line.encode())
+        _record_digest(family, digest)
+    return family._digest
+
+
+def _record_digest(family: Family, digest) -> None:
+    # the first digest recorded stays: any other is of the same text
+    if family._digest is None:
+        object.__setattr__(family, "_digest", digest.hexdigest())
 
 
 def write_family(family: Family, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_lines(family))
+    """Write dumps_family's text to path, hashing it as it goes; the digest
+    is recorded for family_digest once the file is closed, so a write that
+    raises records nothing."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in _lines(family):
+            data = line.encode()
+            digest.update(data)
+            fh.write(data)
+    _record_digest(family, digest)
 
 
 def _require_int(value, what: str) -> int:
@@ -487,17 +500,21 @@ def _canonical_block(block: str) -> tuple[np.ndarray, np.ndarray] | None:
     return values[0::2], values[1::2]
 
 
-def _parse_family(fh: io.TextIOBase) -> Family:
-    """A family from the JSON lines of the text file fh; blank lines
-    skipped.
+def _parse_family(fh) -> Family:
+    """A family from the JSON lines of fh, a text file or _TextReader
+    whose lines end at "\n" alone; blank lines skipped.
 
     After the header, fh is read in blocks of whole lines.  A block of
     canonical lines is read in numpy; any other block a line at a time by
     json.  Either way a member is reduced or rejected by _reduced in line
     order, and lines are numbered in error messages as the non-blank lines
-    they are.
+    they are.  The text is hashed as it is read while it is still, byte for
+    byte, dumps_family's text of the family it makes: the header as _lines
+    writes it, then canonical blocks that end in a line break and reduce no
+    member.  If it stays so to the end, with the moduli already ascending,
+    the digest is recorded for family_digest.
     """
-    line = fh.readline()
+    first = line = fh.readline()
     while line and not line.strip():
         line = fh.readline()
     if not line:
@@ -505,16 +522,25 @@ def _parse_family(fh: io.TextIOBase) -> Family:
     header = _parse_line(line, 1)
     x_bound = _require_int(header.get("x"), "header: field 'x'")
     count = _require_int(header.get("count"), "header: field 'count'")
+    # the hash of the text so far, while it is canonical; a blank first
+    # line is not the header
+    digest = hashlib.sha256(first.encode()) if first == _HEADER % (x_bound, count) else None
     number = 1  # non-blank lines so far, the header included
     moduli, residues = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for block in iter(lambda: fh.read(_READ_CHARS) + fh.readline(), ""):
         columns = _canonical_block(block)
         if columns is not None:
             q, a = columns
-            for i in np.flatnonzero((q < 2) | (a >= q)).tolist():
+            reduced = np.flatnonzero((q < 2) | (a >= q)).tolist()
+            for i in reduced:
                 a[i] = _reduced(int(a[i]), int(q[i]))
             number += q.size
+            if digest is not None and not reduced and block.endswith("\n"):
+                digest.update(block.encode())  # ASCII, as the pattern matched it
+            else:
+                digest = None
         else:
+            digest = None
             q, a = [], []
             # each line keeps its line break, as a file's lines do
             for line in io.StringIO(block, newline="\n"):
@@ -534,17 +560,49 @@ def _parse_family(fh: io.TextIOBase) -> Family:
         raise FamilyFormatError(
             f"header count {count} but {number - 1} progression lines"
         )
-    return Family.from_columns(*_sorted_columns(np.concatenate(moduli), np.concatenate(residues)), x_bound)
+    q, a = _column(np.concatenate(moduli)), _column(np.concatenate(residues))
+    if not _increasing(q):
+        # Equal moduli may come out in either order: a family rejects them
+        # by value alone, "moduli must strictly increase, v after v".
+        order = np.argsort(q)
+        q, a, digest = q[order], a[order], None
+    family = Family.from_columns(q, a, x_bound)
+    if digest is not None:
+        _record_digest(family, digest)
+    return family
+
+
+class _TextReader:
+    """read and readline over a str, for _parse_family: lines end at "\n"
+    alone, as in a file opened with newline="\n".  Each call slices the
+    text, so no copy of the whole is made."""
+
+    __slots__ = ("text", "at")
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def read(self, size: int) -> str:
+        chunk = self.text[self.at : self.at + size]
+        self.at += len(chunk)
+        return chunk
+
+    def readline(self) -> str:
+        end = self.text.find("\n", self.at) + 1 or len(self.text)
+        line, self.at = self.text[self.at : end], end
+        return line
 
 
 def loads_family(text: str) -> Family:
-    # a text file over text's UTF-8, read as read_family reads its file; a
-    # StringIO would hold four bytes a character
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    return _parse_family(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n"))
+    """The family of a family file's text, read as read_family reads the
+    file; the digest is recorded as read_family records it."""
+    return _parse_family(_TextReader(text))
 
 
 def read_family(path) -> Family:
+    """The family in the file at path.  If the file is byte for byte the
+    text write_family writes for it, its sha256, hashed while it was read,
+    is recorded for family_digest."""
     # newline="\n" splits lines exactly where loads_family does
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:

@@ -689,6 +689,16 @@ class TestParsing:
     def test_version_exit_0(self, capsys):
         assert main(["--version"]) == 0
 
+    def test_second_call_keeps_nothing_of_the_first(self, tmp_path, capsys):
+        # main reuses one parser; the append options default to None afresh
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["--kind", "psi", "--kind", "omega-tail", "--x", "1000", "--x", "2000", "--c", "0.5"]
+        assert main(["counts", *argv, "--out", str(first)]) == 0
+        assert main(["counts", "--kind", "psistar", "--x", "100", "--out", str(second)]) == 0
+        rows = [line.split(",")[:3] for line in second.read_text().splitlines()[1:]]
+        assert rows == [["psistar", "100", "1"]]
+        assert len(first.read_text().splitlines()) == 5
+
     def test_no_prefix_matching(self, tmp_path, capsys):
         code, _ = run(
             capsys, "construct", "--x", "100", "--squarefree", "--out", str(tmp_path / "f")

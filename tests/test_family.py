@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -512,6 +513,123 @@ class TestFactorCache:
         shifted = translate(built, 2**40 + 1)
         assert shifted.factors is translate(shifted, -1).factors is built.factors
         assert table_builds == {"factor_table": 0, "tree": 1}
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def no_lines(family):
+    raise AssertionError("the family's text was formatted again")
+
+
+# Edits of dumps_family(fam(SEVEN_EIGHTHS, 8)) that read to the same family
+# but are not its canonical text.
+NOT_CANONICAL = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "leading blank line": lambda text: "\n" + text,
+    "blank line": lambda text: text.replace("\n", "\n\n", 2),
+    "trailing blank line": lambda text: text + "\n",
+    "swapped lines": lambda text: "".join(text.splitlines(True)[i] for i in (0, 2, 1, 3)),
+    "residue past modulus": lambda text: text.replace('{"q": 4, "a": 1}', '{"q": 4, "a": 5}'),
+    "no final line break": lambda text: text[:-1],
+    "header spacing": lambda text: text.replace('{"x": 8, "count": 3}', '{"x":8, "count":3}'),
+}
+
+
+class TestRecordedDigest:
+    """The sha256 of a family's canonical text is hashed once: write_family
+    and a read of canonical text record it, family_digest returns it."""
+
+    @pytest.mark.parametrize("chars", [7, 2**16])
+    def test_write_and_canonical_read_record_it(self, tmp_path, chars):
+        families = [
+            fam(SEVEN_EIGHTHS, 8),
+            Family.from_columns([], [], 2),
+            truncated_construction(3000),  # 3000 lines, past one block of _lines and of the reader
+            translate(truncated_construction(50), 2**40 + 3),
+        ]
+        path = tmp_path / "fam.jsonl"
+        for f in families:
+            expected = sha256_text(dumps_family(f))
+            write_family(f, path)
+            assert f._digest == expected == hashlib.sha256(path.read_bytes()).hexdigest()
+            with mock.patch.object(family_module, "_READ_CHARS", chars):
+                again = [read_family(path), loads_family(path.read_text())]
+            with mock.patch.object(family_module, "_lines", no_lines):
+                for g in again:
+                    assert g == f and g._digest == expected
+                    assert family_digest(g) == expected
+                    assert verify_family(g).digest == expected
+
+    def test_digest_recorded_on_first_use(self):
+        f = fam(SEVEN_EIGHTHS, 8)
+        assert f._digest is None
+        assert family_digest(f) == sha256_text(dumps_family(f)) == f._digest
+        with mock.patch.object(family_module, "_lines", no_lines):
+            assert family_digest(f) == f._digest
+
+    @pytest.mark.parametrize("edit", NOT_CANONICAL, ids=list(NOT_CANONICAL))
+    def test_non_canonical_text_records_nothing(self, tmp_path, edit):
+        f = fam(SEVEN_EIGHTHS, 8)
+        text = NOT_CANONICAL[edit](dumps_family(f))
+        path = tmp_path / "fam.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the residue past its modulus is reduced
+            read = [read_family(path), loads_family(text)]
+        for g in read:
+            assert g == f and g._digest is None
+            plain = Family.from_columns(g.q.tolist(), g.a.tolist(), g.x_bound)
+            assert family_digest(g) == family_digest(plain) == sha256_text(dumps_family(f))
+
+    def test_nineteen_digit_value_records_nothing(self, tmp_path):
+        # canonical text, but past the block pattern's 18 digits, so read by json
+        f = Family.from_columns([2, 10**18], [1, 10**18 - 1], 10**18)
+        path = tmp_path / "fam.jsonl"
+        write_family(f, path)
+        assert f._digest == sha256_text(dumps_family(f))
+        for g in (read_family(path), loads_family(dumps_family(f))):
+            assert g == f and g._digest is None
+            plain = Family.from_columns([2, 10**18], [1, 10**18 - 1], 10**18)
+            assert family_digest(g) == family_digest(plain) == f._digest
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"x": 8, "count": 1, "\ud800": 0}\n{"q": 2, "a": 0}\n',
+            '{"x": 8, "count": 1}\n{"q": 2, "a": 0, "\ud800": 0}\n',
+        ],
+    )
+    def test_lone_surrogate_is_read_not_hashed(self, text):
+        # the text cannot be encoded, and is never asked to be
+        f = loads_family(text)
+        assert f == fam([(0, 2)], 8) and f._digest is None
+
+    @given(family_texts(), st.sampled_from([1, 7, 40, 2**16]))
+    @example('{"x": 8, "count": 2}\n{"q": 2, "a": 0}\n{"q": 4, "a": 1}\n', 7)
+    def test_recorded_exactly_for_canonical_text(self, text, chars):
+        with mock.patch.object(family_module, "_READ_CHARS", chars):
+            result, _ = _outcome(lambda: loads_family(text))
+        if isinstance(result, Family):
+            canonical = text == dumps_family(result) and all(v < 10**18 for v in result.q.tolist())
+            assert (result._digest is not None) == canonical
+            assert family_digest(result) == sha256_text(dumps_family(result))
+
+    def test_digest_is_no_part_of_equality_hash_or_pickle(self, tmp_path):
+        f = fam(SEVEN_EIGHTHS, 8)
+        plain = Family.from_columns(f.q.copy(), f.a.copy(), f.x_bound)
+        write_family(f, tmp_path / "fam.jsonl")
+        assert f._digest is not None and plain._digest is None
+        assert f == plain and hash(f) == hash(plain)
+        assert pickle.dumps(f) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(f))._digest is None
+
+    def test_failed_write_records_nothing(self, tmp_path):
+        f = fam(SEVEN_EIGHTHS, 8)
+        with pytest.raises(OSError):
+            write_family(f, tmp_path)  # a directory
+        assert f._digest is None
 
 
 class TestSerialization:
