@@ -10,6 +10,7 @@ the family is pairwise disjoint by the gcd criterion.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,6 +42,7 @@ class ConstructionParams:
     squarefree_only: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "x", operator.index(self.x))
         if self.x < 16:
             raise DomainError(f"construction needs x >= 16, got {self.x}")
         if l_scale(self.c, self.x) < 2:
@@ -113,8 +115,6 @@ def _walk(params: ConstructionParams, p: int) -> tuple[np.ndarray, ...]:
         values = m[active]
         keep = values <= bound // c
         active, values = active[keep], values[keep]
-        if not active.size:
-            break
         parents = active
         if c != r:
             grow = values % r != 0

@@ -55,12 +55,22 @@ def _reduced(residue: int, modulus: int) -> int:
 
 @dataclass(frozen=True, slots=True)  # slots: a family's items view holds one per member
 class Progression:
-    """The arithmetic progression residue + k*modulus, k >= 0."""
+    """The arithmetic progression residue + k*modulus, k >= 0.
+
+    Both fields are Python ints: a value of another type is taken by
+    operator.index, so a numpy integer or a bool becomes an int and a
+    float or a string raises TypeError.
+    """
 
     residue: int
     modulus: int
 
     def __post_init__(self):
+        # the int test first: operator.index on every member costs more than it does
+        if type(self.modulus) is not int:
+            object.__setattr__(self, "modulus", operator.index(self.modulus))
+        if type(self.residue) is not int:
+            object.__setattr__(self, "residue", operator.index(self.residue))
         if self.modulus < 2 or not 0 <= self.residue < self.modulus:
             object.__setattr__(self, "residue", _reduced(self.residue, self.modulus))
 
@@ -74,12 +84,14 @@ class Family:
     A family is stored as two read-only columns, q (the moduli) and a
     (their residues), each made by _column: int64 when every value fits,
     else an object array of Python ints, so a large family holds no object
-    per member.  items, the members as Progressions of Python ints built
-    from the columns, and factors, the moduli's factor table, are built on
-    first use and cached, as is the digest of the canonical text (see
-    family_digest); the caches are no part of ==, hash or pickle.
+    per member.  items, the members as Progressions, is the tuple that
+    Family(items, x_bound) was given; a family made by from_columns, a
+    reader or unpickling builds it from the columns on first use.  It, the
+    moduli's factor table (factors) and the digest of the canonical text
+    (see family_digest) are caches, no part of ==, hash or pickle.
     Family(items, x_bound) and from_columns(q, a, x_bound) validate alike:
-    each member by _reduced, the family by _init.
+    each member by _reduced, the family by _init, which takes x_bound by
+    operator.index.
     """
 
     __slots__ = ("q", "a", "x_bound", "_items", "_factors", "_digest")
@@ -87,6 +99,8 @@ class Family:
     def __init__(self, items: Iterable[Progression], x_bound: int):
         items = tuple(items)
         self._init(_column([pr.modulus for pr in items]), _column([pr.residue for pr in items]), x_bound)
+        # each Progression holds Python ints already, so the view is the items given
+        object.__setattr__(self, "_items", items)
 
     @classmethod
     def from_columns(cls, moduli: Iterable[int], residues: Iterable[int], x_bound: int) -> "Family":
@@ -104,6 +118,7 @@ class Family:
 
     def _init(self, q: np.ndarray, a: np.ndarray, x_bound: int) -> None:
         # every member is already checked; this checks the family
+        x_bound = operator.index(x_bound)
         if x_bound < 2:
             raise StructuralError(f"x_bound must be >= 2, got {x_bound}")
         if not _increasing(q):
@@ -123,9 +138,10 @@ class Family:
 
     @property
     def items(self) -> tuple[Progression, ...]:
-        """The members as Progressions, built on first use."""
+        """The members as Progressions: those Family(items, x_bound) was
+        given, else built from the columns on first use."""
         if self._items is None:
-            object.__setattr__(self, "_items", _progressions(self.q.tolist(), self.a.tolist()))
+            object.__setattr__(self, "_items", tuple(map(Progression, self.a.tolist(), self.q.tolist())))
         return self._items
 
     @property
@@ -226,11 +242,6 @@ def _column_from_state(state: bytes | tuple[int, ...]) -> np.ndarray:
 
 def _increasing(q: np.ndarray) -> bool:
     return bool((q[1:] > q[:-1]).all())
-
-
-def _progressions(moduli: Sequence[int], residues: Sequence[int]) -> tuple[Progression, ...]:
-    # Family.items' builder; no hot path calls it
-    return tuple(map(Progression, residues, moduli))
 
 
 def translate(family: Family, shift: int) -> Family:

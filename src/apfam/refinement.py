@@ -20,6 +20,7 @@ can replay the run independently.
 import bisect
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
@@ -49,6 +50,7 @@ class RefinementParams:
     ratio_denominator: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "x", operator.index(self.x))
         if self.x < 16:
             raise DomainError(f"refinement needs x >= 16, got {self.x}")
         if self.omega_cap is None:

@@ -18,6 +18,7 @@ Disjointness is translation invariant, so the first chosen residue is 0.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -32,6 +33,7 @@ class SearchConfig:
     node_budget: int = 100_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "x", operator.index(self.x))
         if not 2 <= self.x <= X_MAX_EXACT:
             raise DomainError(f"exact search supports 2 <= x <= {X_MAX_EXACT}")
         if self.node_budget < 1:

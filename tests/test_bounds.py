@@ -219,6 +219,11 @@ class TestMajorant:
                 direct += 1.0 / n
         assert prime_power_reciprocal_sum(200) == pytest.approx(direct, rel=1e-12)
 
+    def test_reciprocal_sum_domain(self):
+        assert prime_power_reciprocal_sum(2) == 0.5
+        with pytest.raises(DomainError, match="x >= 2"):
+            prime_power_reciprocal_sum(1)
+
     def test_dominates_count(self):
         for x in (10**3, 10**4):
             for c in (0.5, 1.0, 2.0):

@@ -1,6 +1,6 @@
 """A Family stores its moduli and residues as two read-only columns, int64
-or Python ints; its items view of Progressions is built only when a caller
-asks for it."""
+or Python ints; its items view of Progressions is the members it was given,
+or, for a family made from columns, built only when a caller asks for it."""
 
 import hashlib
 import json
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from apfam import family as family_module
 from apfam.bounds import alpha_exceeding_fraction, choose_alpha, squarefull_reduce
 from apfam.cli import main
 from apfam.errors import NotDisjointError
@@ -30,7 +29,14 @@ from apfam.family import (
     write_family,
 )
 from apfam.numtheory import factor_table
-from apfam.refinement import RefinementParams, build_chain, certificate_to_dict, check_certificate
+from apfam.refinement import (
+    RefinementParams,
+    build_chain,
+    certificate_to_dict,
+    check_certificate,
+    read_certificate,
+    write_certificate,
+)
 from apfam.solver import SearchConfig, solve_exact
 
 
@@ -48,12 +54,12 @@ def outcome(build):
 
 @pytest.fixture
 def no_view(monkeypatch):
-    """Any call that builds a Family's items view fails."""
+    """Any read of a Family's items view fails."""
 
-    def refuse(moduli, residues):
-        raise AssertionError("the items view was built")
+    def refuse(family):
+        raise AssertionError("the items view was read")
 
-    monkeypatch.setattr(family_module, "_progressions", refuse)
+    monkeypatch.setattr(Family, "items", property(refuse))
 
 
 def test_apfam_paths_never_build_the_view(no_view, tmp_path, capsys):
@@ -116,8 +122,8 @@ class TestValueContract:
         assert by_columns_warnings == by_items_warnings
         assert by_columns == by_items and hash(by_columns) == hash(by_items)
         before = pickle.dumps(by_columns)
-        assert pickle.dumps(by_items) == before  # neither has built its view yet
-        assert by_columns.items == by_items.items  # builds both views
+        assert pickle.dumps(by_items) == before  # by_items holds its view; pickle leaves it out
+        assert by_columns.items == by_items.items  # builds by_columns' view
         assert pickle.dumps(by_columns) == before
         assert Family(by_columns.items, x_bound) == by_columns
         again = pickle.loads(before)
@@ -223,7 +229,9 @@ class TestValueContract:
 class TestExactIntegers:
     """A column holds exactly the integers given: any other value raises
     TypeError, never truncated or parsed, and an unsigned value past int64
-    keeps its value in an object column."""
+    keeps its value in an object column.  A Progression's fields, a
+    family's x_bound and each params object's x are taken alike, by
+    operator.index."""
 
     @pytest.mark.parametrize(
         "build",
@@ -238,6 +246,15 @@ class TestExactIntegers:
             lambda: factor_table(["12"]),
             lambda: translate(Family.from_columns([3, 5], [1, 2], 10), 1.5),
             lambda: squarefull_reduce(Family.from_columns([3, 5], [1, 2], 10), 1.5),
+            lambda: Progression(1.5, 3),
+            lambda: Progression("1", 3),
+            lambda: Progression(1, 3.0),
+            lambda: Family.from_columns([3, 5], [1, 2], 10.5),
+            lambda: Family([Progression(1, 3)], 10.0),
+            lambda: object.__new__(Family).__setstate__((b"", b"", 10.5)),  # as unpickling does
+            lambda: ConstructionParams(x=10**6 + 0.5),
+            lambda: RefinementParams(x=1e6),
+            lambda: SearchConfig(x=20.0),
         ],
     )
     def test_non_integers_raise(self, build):
@@ -263,6 +280,21 @@ class TestExactIntegers:
         assert family == Family.from_columns([5, 7], [1, 2], 10)
         assert [type(v) for pr in family.items for v in (pr.residue, pr.modulus)] == [int] * 4
         assert json.dumps([pr.residue for pr in family.items]) == "[1, 2]"
+
+    def test_numpy_bounds_become_python_ints(self):
+        family = Family.from_columns([3, 5], [1, 2], np.int64(10))
+        assert loads_family(dumps_family(family)) == family == pickle.loads(pickle.dumps(family))
+        assert family_digest(family) == family_digest(Family.from_columns([3, 5], [1, 2], 10))
+        params = (ConstructionParams(x=np.int64(10**4)), RefinementParams(x=np.uint64(10**4)), SearchConfig(x=np.int32(12)))
+        assert [type(bound) for bound in (family.x_bound, *(p.x for p in params))] == [int] * 4
+
+    def test_numpy_x_bound_certificate_written(self, tmp_path):
+        squarefree = build_construction(ConstructionParams(x=10**4, squarefree_only=True)).family
+        family = Family.from_columns(squarefree.q, squarefree.a, np.int64(squarefree.x_bound))
+        cert = build_chain(family, RefinementParams(x=family.x_bound, prime_floor=22, ratio_denominator=2))
+        write_certificate(cert, tmp_path / "c.json")
+        assert read_certificate(tmp_path / "c.json") == cert
+        assert check_certificate(cert, family).ok
 
 
 def python_ints(value) -> bool:

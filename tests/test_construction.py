@@ -302,3 +302,8 @@ class TestTruncated:
     def test_domain(self):
         with pytest.raises(DomainError):
             truncated_construction(0)
+
+    def test_past_the_ladder_refused(self):
+        # x = 10**9, the ladder's top, holds fewer than 400000 members
+        with pytest.raises(CapacityError, match="no supported x yields 400000 moduli"):
+            truncated_construction(400000)

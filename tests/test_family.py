@@ -128,6 +128,17 @@ class TestProgression:
             pr = Progression(-1, 5)
         assert pr.residue == 4
 
+    @pytest.mark.parametrize(
+        "residue, modulus, expected",
+        [(np.int64(1), np.uint64(5), (1, 5)), (True, 3, (1, 3)), (np.int32(-1), np.int8(5), (4, 5)), (0, np.uint64(2**64 - 1), (0, 2**64 - 1))],
+    )
+    def test_integers_become_python_ints(self, residue, modulus, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # -1 is reduced mod 5
+            pr = Progression(residue, modulus)
+        assert (pr.residue, pr.modulus) == expected
+        assert (type(pr.residue), type(pr.modulus)) == (int, int)
+
 
 class TestDisjoint:
     def test_examples(self):
@@ -171,6 +182,23 @@ class TestFamilyStructure:
     def test_x_bound_floor(self):
         with pytest.raises(StructuralError):
             Family(items=(), x_bound=1)
+
+    def test_keeps_the_members_given(self):
+        items = (Progression(1, 5), Progression(2, 7), Progression(0, 2**70))
+        for family in (Family(items, 2**70), Family.build(reversed(items), 2**70)):
+            assert all(kept is given for kept, given in zip(family.items, items, strict=True))
+            assert family.items == Family.from_columns(family.q, family.a, family.x_bound).items
+
+    def test_equality_with_a_non_family_defers(self):
+        # NotImplemented lets Python ask the other operand
+        f = fam([(0, 2), (1, 4)], 10)
+        assert f == mock.ANY and mock.ANY == f
+        assert f != (f.q, f.a, f.x_bound)
+
+    def test_repr_rebuilds_the_family(self):
+        f = fam([(0, 2), (1, 4), (3, 2**70)], 2**71)
+        assert repr(f) == f"Family.from_columns([2, 4, {2**70}], [0, 1, 3], {2**71})"
+        assert eval(repr(f), {"Family": Family}) == f
 
 
 class TestVerify:

@@ -99,6 +99,17 @@ class TestFactorize:
         with pytest.raises(DomainError):
             Factorization(12, ((2, 2), (3, 1)))  # wrong order: 4 > 3
 
+    @pytest.mark.parametrize("parts", [((5, 0), (3, 1)), ((1, 2), (3, 1)), ((0, 1), (3, 1))])
+    def test_validation_rejects_a_bad_part(self, parts):
+        # each product is 3 and each value list ascends: only the part check rejects it
+        with pytest.raises(DomainError, match="bad factorization part"):
+            Factorization(3, parts)
+
+    def test_validation_rejects_a_repeated_prime(self):
+        # 2 * 2**2 == 8, with values 2 <= 4 ascending
+        with pytest.raises(DomainError, match="repeated prime 2"):
+            Factorization(8, ((2, 1), (2, 2)))
+
     @given(st.integers(min_value=1, max_value=10**5))
     def test_reconstruction(self, n):
         fact = factorize(n)

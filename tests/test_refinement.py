@@ -23,6 +23,7 @@ from apfam.refinement import (
     CertificateCheck,
     RefinementCertificate,
     RefinementParams,
+    RefinementStep,
     build_chain,
     certificate_from_dict,
     _eligible,
@@ -607,6 +608,42 @@ class TestCheckCertificate:
         rejected = check_certificate(dataclasses.replace(cert, divisible_count=4), six_member())
         assert accepted.ok and bool(accepted) is True
         assert not rejected.ok and bool(rejected) is False
+
+    def test_empty_base_takes_no_witness_or_count(self):
+        # 6 and 10 have no prime of at least 7, so the base is empty
+        family, params = fam([(0, 6), (1, 10)], 10), RefinementParams(x=16, prime_floor=7)
+        cert = build_chain(family, params)
+        assert cert.base == () and check_certificate(cert, family).ok
+        for edit in ({"divisible_count": 1}, {"witness_prime": 7}, {"divisible_count": 1, "witness_prime": 7}):
+            bad = dataclasses.replace(cert, **edit)
+            assert check_certificate(bad, family) == CertificateCheck(False, "structure")
+
+    def test_member_sharing_no_candidate_prime_rejected(self):
+        # 0 mod 6 and 1 mod 35 are coprime, so they meet (at 36): a step on 6
+        # leaves 35 covered by none of its candidates 2 and 3
+        family, params = fam([(0, 6), (1, 35)], 40), RefinementParams(40, 3, 2, 1)
+        step = RefinementStep(
+            index=1, chosen_modulus=6, candidate_primes=(2, 3), prime=2, residue_class=0, combined_residue=0, survivors=(6,)
+        )
+        cert = RefinementCertificate(params, family.items, (step,), 1, None, 0)
+        assert check_certificate(cert, family) == CertificateCheck(False, "covering")
+
+    def test_step_kept_with_equality_is_not_strict(self):
+        # the base is 18 mod 42 and 51 mod 114; the step on 2 keeps 1 of 2
+        # members, and 1 * 2 * ratio 1 == 2
+        family = fam([(11, 30), (18, 42), (51, 114), (1, 330)], 400)
+        cert = build_chain(family, RefinementParams(400, 4, 5, 1))
+        assert [(s.prime, len(s.survivors)) for s in cert.steps] == [(2, 1)] and len(cert.base) == 2
+        assert check_certificate(cert, family) == CertificateCheck(True, None, False)
+        assert reference_check(cert, family) == CertificateCheck(True, None, False)
+
+    def test_witness_of_a_used_prime_rejected(self):
+        # the chain's first prime divides every survivor, so the count holds
+        # but the prime is fixed already
+        family, cert = stepped_chain()
+        prime, count = cert.steps[0].prime, len(cert.steps[-1].survivors)
+        bad = dataclasses.replace(cert, witness_prime=prime, divisible_count=count)
+        assert check_certificate(bad, family) == CertificateCheck(False, "Property 4", True)
 
     def test_composite_witness_of_a_used_prime_rejected(self):
         # 2018 = 2 * 1009 divides the same 149 survivors as the genuine
